@@ -23,8 +23,16 @@ from .core import (
     evaluate_objective,
     extreme_distances,
 )
-from .candidates import BicriteriaGenerator, CandidateGenerator, GonzalezGenerator, bicriteria_centers, enumerate_tuples
-from .kcenter import SeedSequence, check_feasible, expand_assignment, gonzalez, solve_kbcenter
+from .candidates import (
+    BicriteriaGenerator,
+    CandidateGenerator,
+    GonzalezGenerator,
+    SeedSequence,
+    bicriteria_centers,
+    enumerate_tuples,
+    gonzalez,
+)
+from .kcenter import check_feasible, expand_assignment, solve_kbcenter
 from .kmedian import AssignmentLPResult, assignment_lp, solve_balanced
 from .regions import LevelSchedule, RegionTable, build_coverage_regions, build_level_regions, build_level_schedule
 from .flow import FlowNetwork, FlowSolution, max_flow, min_cost_max_flow, reduce_demands_to_capacities

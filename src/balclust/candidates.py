@@ -1,4 +1,5 @@
-"""Candidate-center generation behind a pluggable interface.
+"""Candidate-center generation behind a pluggable interface, and the
+enumeration of the center tuples the solvers sweep.
 
 Two generators ship: the farthest-point seed set (k-center) and a
 distance-proportional oversampling scheme producing O(k) centers for the
@@ -9,13 +10,58 @@ be plugged into the solvers, e.g. a stronger sampling-based candidate set.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, as_oracle
-from .kcenter import gonzalez
+from . import kernels
+from .core import EuclideanOracle, InputError, as_oracle
 
+#: Most center tuples one solve may sweep.
 TUPLE_CAP = 1 << 20
+
+
+@dataclass(frozen=True)
+class SeedSequence:
+    """Ordered farthest-point seeds; each seed after the first maximizes the
+    minimum distance to the ones before it (ties to the lowest index)."""
+
+    indices: np.ndarray
+    first_index: int
+    #: max-min distance a (k+1)-th pick would have; 2-approximates the
+    #: unconstrained optimal radius.
+    next_min_distance: float
+
+
+def gonzalez(source, k: int, first_index: int | None = 0, seed: int | None = None) -> SeedSequence:
+    """Farthest-point traversal; O(nk) distance reads.
+
+    The start is ``first_index``, or a seeded random point when it is None.
+    """
+    oracle = as_oracle(source)
+    n = oracle.n
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if first_index is None:
+        first_index = int(np.random.default_rng(seed).integers(n))
+    if not 0 <= first_index < n:
+        raise InputError(f"first_index {first_index} out of range for n={n}")
+    if isinstance(oracle, EuclideanOracle):
+        idx, mind = kernels.farthest_point_order(oracle.point_set.points, k, first_index)
+    else:
+        idx = np.empty(k, np.int64)
+        mind = np.full(n, np.inf)
+        selected = np.zeros(n, dtype=bool)
+        cur = int(first_index)
+        for step in range(k):
+            idx[step] = cur
+            selected[cur] = True
+            np.minimum(mind, oracle.columns([cur])[:, 0], out=mind)
+            if step + 1 < k:
+                cur = int(np.argmax(np.where(selected, -1.0, mind)))
+    idx.setflags(write=False)
+    return SeedSequence(indices=idx, first_index=int(first_index), next_min_distance=float(mind.max()))
 
 
 def bicriteria_centers(
@@ -58,18 +104,28 @@ def bicriteria_centers(
     return np.asarray(chosen, dtype=np.int64), cost
 
 
-def enumerate_tuples(candidates, k: int, cap: int = TUPLE_CAP):
-    """Lexicographic stream of all |C|^k k-tuples of candidate positions
-    (Cartesian product, so repetition inside a tuple is allowed)."""
-    m = candidates if isinstance(candidates, (int, np.integer)) else len(candidates)
+def enumerate_tuples(candidates, k: int) -> list[tuple[int, ...]]:
+    """All C(|C| + k - 1, k) sorted k-multisets of candidate positions, in
+    lexicographic order (repetition inside a tuple is allowed).
+
+    Every cluster has the same size bounds, so reordering a tuple's centers
+    gives an isomorphic flow network with the same optimum; one sorted tuple
+    per multiset covers the whole k-fold product. The sorted form is also
+    each multiset's first permutation in product order, so tie-breaking by
+    position in this list picks the winner the product would pick. Raises
+    InputError, before building any tuple, when there are more than
+    ``TUPLE_CAP`` of them.
+    """
+    m = int(candidates if isinstance(candidates, (int, np.integer)) else len(candidates))
     if m < 1:
         raise InputError("need at least one candidate center")
-    if m**k > cap:
+    count = math.comb(m + k - 1, k)
+    if count > TUPLE_CAP:
         raise InputError(
-            f"candidate tuple space {m}^{k} exceeds the cap of {cap}; "
-            f"reduce k or the candidate oversampling factor"
+            f"{count} center multisets of size {k} over {m} candidates exceed the cap of "
+            f"{TUPLE_CAP}; reduce k or the candidate oversampling factor"
         )
-    return itertools.product(range(int(m)), repeat=k)
+    return list(itertools.combinations_with_replacement(range(m), k))
 
 
 class CandidateGenerator:
@@ -82,7 +138,7 @@ class CandidateGenerator:
 
 
 class GonzalezGenerator(CandidateGenerator):
-    """Exactly the k farthest-point seeds; tuple space is their k-fold product."""
+    """Exactly the k farthest-point seeds; the solvers sweep their k-multisets."""
 
     name = "gonzalez"
 

@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--first-index", type=int, default=0)
     run.add_argument("--generator", default=None, choices=["gonzalez", "bicriteria"])
-    run.add_argument("--threads", type=int, default=1)
     run.add_argument("--skip-header", action="store_true", help="input CSV has a header row")
     run.add_argument("--output", default=None, help="write JSON here instead of stdout")
     run.add_argument("--emit-assignment", action="store_true")
@@ -86,7 +85,6 @@ def _solve(oracle, args, bounds):
             args.k,
             bounds,
             first_index=args.first_index,
-            threads=args.threads,
         )
     if args.generator == "gonzalez":
         generator = GonzalezGenerator(first_index=args.first_index)
@@ -100,7 +98,6 @@ def _solve(oracle, args, bounds):
         objective=args.objective,
         generator=generator,
         seed=args.seed,
-        threads=args.threads,
     )
 
 

@@ -1,7 +1,7 @@
 """Core data model: point sets, distance oracles, bounds, and objectives.
 
-Everything here is immutable after construction and safe to share across
-worker threads; solvers only ever read these objects.
+Everything here is immutable after construction; solvers only ever read
+these objects.
 """
 
 from __future__ import annotations

@@ -8,71 +8,22 @@ search over the sorted, deduplicated ladder.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
 import numpy as np
 
+from .candidates import enumerate_tuples, gonzalez
 from .core import (
     BalanceBounds,
     BalancedAssignment,
     ClusteringResult,
-    EuclideanOracle,
     InputError,
     StructureError,
     as_oracle,
     evaluate_objective,
     round_robin_assignment,
 )
-from . import kernels
 from .flow import FlowNetwork, FlowSolution, coverage_network, max_flow
 from .regions import RegionTable, build_coverage_regions, coverage_region_counts
 from .rounding import round_to_integral
-
-TUPLE_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class SeedSequence:
-    """Ordered farthest-point seeds; each seed after the first maximizes the
-    minimum distance to the ones before it (ties to the lowest index)."""
-
-    indices: np.ndarray
-    first_index: int
-    #: max-min distance a (k+1)-th pick would have; 2-approximates the
-    #: unconstrained optimal radius.
-    next_min_distance: float
-
-
-def gonzalez(source, k: int, first_index: int | None = 0, seed: int | None = None) -> SeedSequence:
-    """Farthest-point traversal; O(nk) distance reads.
-
-    The start is ``first_index``, or a seeded random point when it is None.
-    """
-    oracle = as_oracle(source)
-    n = oracle.n
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if first_index is None:
-        first_index = int(np.random.default_rng(seed).integers(n))
-    if not 0 <= first_index < n:
-        raise InputError(f"first_index {first_index} out of range for n={n}")
-    if isinstance(oracle, EuclideanOracle):
-        idx, mind = kernels.farthest_point_order(oracle.point_set.points, k, first_index)
-    else:
-        idx = np.empty(k, np.int64)
-        mind = np.full(n, np.inf)
-        selected = np.zeros(n, dtype=bool)
-        cur = int(first_index)
-        for step in range(k):
-            idx[step] = cur
-            selected[cur] = True
-            np.minimum(mind, oracle.columns([cur])[:, 0], out=mind)
-            if step + 1 < k:
-                cur = int(np.argmax(np.where(selected, -1.0, mind)))
-    idx.setflags(write=False)
-    return SeedSequence(indices=idx, first_index=int(first_index), next_min_distance=float(mind.max()))
 
 
 def radius_ladder(table: np.ndarray) -> np.ndarray:
@@ -129,20 +80,12 @@ def expand_assignment(
     return BalancedAssignment.from_labels(labels, net.k, bounds)
 
 
-def _all_tuples(m: int, k: int):
-    if m**k > TUPLE_CAP:
-        raise InputError(
-            f"tuple space {m}^{k} exceeds the cap of {TUPLE_CAP}; reduce k or the candidate count"
-        )
-    return list(itertools.product(range(m), repeat=k))
-
-
-def _search_tuples(table, ladder, tuple_list, bounds, start_order):
-    """Smallest feasible (ladder index, order, tuple) over a tuple chunk,
-    pruning each binary search below the chunk's best so far."""
+def _search_tuples(table, ladder, tuple_list, bounds):
+    """Smallest feasible (ladder index, order, tuple) over the tuples, pruning
+    each binary search below the best so far; ties keep the earliest tuple."""
     best = None
     probes = 0
-    for offset, tup in enumerate(tuple_list):
+    for order, tup in enumerate(tuple_list):
         cols = np.ascontiguousarray(table[:, tup])
         lo = 0
         hi = (best[0] - 1) if best is not None else len(ladder) - 1
@@ -156,7 +99,7 @@ def _search_tuples(table, ladder, tuple_list, bounds, start_order):
             else:
                 lo = mid + 1
         if found is not None:
-            best = (found, start_order + offset, tup)
+            best = (found, order, tup)
     return best, probes
 
 
@@ -168,16 +111,15 @@ def solve_kbcenter(
     seed: int | None = None,
     centers=None,
     tuples=None,
-    threads: int = 1,
 ) -> ClusteringResult:
     """Balanced k-center solve.
 
-    Candidate centers default to the k farthest-point seeds; every k-tuple
-    over the candidates (with repetition) is binary-searched for its smallest
-    feasible radius and the best tuple's flow is expanded to point labels.
-    ``tuples`` restricts the searched tuple space (tuples of candidate
-    positions); ``centers`` overrides the candidate set with explicit point
-    indices.
+    Candidate centers default to the k farthest-point seeds; every k-multiset
+    of the candidates (``enumerate_tuples``) is binary-searched for its
+    smallest feasible radius, and the best tuple's flow is expanded to point
+    labels. Ties go to the earliest tuple. ``tuples`` replaces the searched
+    tuples (tuples of candidate positions, in any order); ``centers``
+    overrides the candidate set with explicit point indices.
     """
     oracle = as_oracle(source)
     n = oracle.n
@@ -190,6 +132,15 @@ def solve_kbcenter(
         if candidate_idx.ndim != 1 or candidate_idx.size == 0:
             raise InputError("centers must be a non-empty 1-d list of point indices")
     m = int(candidate_idx.size)
+    if tuples is None:
+        tuple_list = enumerate_tuples(m, k)
+    else:
+        tuple_list = [tuple(int(p) for p in tup) for tup in tuples]
+        for tup in tuple_list:
+            if len(tup) != k or any(not 0 <= p < m for p in tup):
+                raise InputError(f"tuple {tup} is not a valid k-tuple of candidate positions")
+        if not tuple_list:
+            raise InputError("empty tuple list")
     table = oracle.columns(candidate_idx)
     ladder = radius_ladder(table)
     diagnostics: dict = {
@@ -212,32 +163,7 @@ def solve_kbcenter(
             diagnostics=diagnostics,
         )
 
-    if tuples is None:
-        tuple_list = _all_tuples(m, k)
-    else:
-        tuple_list = [tuple(int(p) for p in tup) for tup in tuples]
-        for tup in tuple_list:
-            if len(tup) != k or any(not 0 <= p < m for p in tup):
-                raise InputError(f"tuple {tup} is not a valid k-tuple of candidate positions")
-        if not tuple_list:
-            raise InputError("empty tuple list")
-
-    if threads > 1 and len(tuple_list) > 1:
-        workers = min(threads, len(tuple_list))
-        chunks = np.array_split(np.arange(len(tuple_list)), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_search_tuples, table, ladder, [tuple_list[i] for i in chunk], bounds, int(chunk[0]))
-                for chunk in chunks
-                if chunk.size
-            ]
-            results = [f.result() for f in futures]
-        probes = sum(p for _, p in results)
-        candidates = [b for b, _ in results if b is not None]
-        best = min(candidates, key=lambda b: (b[0], b[1])) if candidates else None
-    else:
-        best, probes = _search_tuples(table, ladder, tuple_list, bounds, 0)
-
+    best, probes = _search_tuples(table, ladder, tuple_list, bounds)
     if best is None:
         raise StructureError("no feasible radius found despite validated bounds")
     ladder_idx, order, tup = best

@@ -10,7 +10,6 @@ reserved free ring, which keeps zero-cost placements representable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,15 +160,15 @@ def _improves(key, incumbent):
     return order < best_order
 
 
-def _evaluate_chunk(table, tuple_list, bounds, epsilon, objective, region_cap, start_order):
+def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap):
     best = None
     stats = {"fallbacks": 0, "degenerate": 0}
-    for offset, tup in enumerate(tuple_list):
+    for order, tup in enumerate(tuple_list):
         cols = np.ascontiguousarray(table[:, tup])
         res = _lp_from_columns(cols, bounds, epsilon, objective, region_cap, with_assignment=False)
         stats["fallbacks"] += int(res.fallback)
         stats["degenerate"] += int(res.degenerate)
-        key = (res.lp_objective, start_order + offset)
+        key = (res.lp_objective, order)
         if best is None or _improves(key, best[0]):
             best = (key, tup)
     return best, stats
@@ -183,11 +182,11 @@ def solve_balanced(
     objective: str = "median",
     generator: CandidateGenerator | None = None,
     seed: int = 0,
-    threads: int = 1,
     region_cap: int = REGION_CAP,
 ) -> ClusteringResult:
-    """Evaluate every candidate k-tuple and return the one with the smallest
-    flow objective, expanded to a balanced assignment.
+    """Evaluate every k-multiset of the candidates (``enumerate_tuples``) and
+    return the one with the smallest flow objective, expanded to a balanced
+    assignment. Ties within float dust go to the earliest tuple.
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -205,38 +204,9 @@ def solve_balanced(
     candidate_idx = np.asarray(generator.generate(oracle, k, objective), dtype=np.int64)
     if candidate_idx.size < 1:
         raise InputError("candidate generator produced no centers")
-    tuple_list = list(enumerate_tuples(int(candidate_idx.size), k))
+    tuple_list = enumerate_tuples(int(candidate_idx.size), k)
     table = oracle.columns(candidate_idx)
-
-    if threads > 1 and len(tuple_list) > 1:
-        workers = min(threads, len(tuple_list))
-        chunks = np.array_split(np.arange(len(tuple_list)), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_chunk,
-                    table,
-                    [tuple_list[i] for i in chunk],
-                    bounds,
-                    epsilon,
-                    objective,
-                    region_cap,
-                    int(chunk[0]),
-                )
-                for chunk in chunks
-                if chunk.size
-            ]
-            outcomes = [f.result() for f in futures]
-        best = None
-        for candidate, _ in outcomes:
-            if candidate is not None and (best is None or _improves(candidate[0], best[0])):
-                best = candidate
-        stats = {
-            "fallbacks": sum(s["fallbacks"] for _, s in outcomes),
-            "degenerate": sum(s["degenerate"] for _, s in outcomes),
-        }
-    else:
-        best, stats = _evaluate_chunk(table, tuple_list, bounds, epsilon, objective, region_cap, 0)
+    best, stats = _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap)
 
     (lp_objective, order), tup = best
     cols = np.ascontiguousarray(table[:, tup])

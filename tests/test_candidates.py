@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import balclust as bc
+from balclust import candidates
 from balclust.oracle import planted_fixture, tight_line_fixture
 
 from conftest import random_points
@@ -37,23 +39,39 @@ def test_sampling_determinism():
 
 
 def test_enumerate_tuples_products():
-    assert list(bc.enumerate_tuples(2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    tuples = list(bc.enumerate_tuples(3, 3))
-    assert len(tuples) == 27
-    assert len(set(tuples)) == 27
-    assert tuples == sorted(tuples)
+    assert bc.enumerate_tuples(2, 2) == [(0, 0), (0, 1), (1, 1)]
+    for m, k in ((1, 4), (3, 3), (5, 2), (4, 4)):
+        tuples = bc.enumerate_tuples(m, k)
+        assert len(tuples) == math.comb(m + k - 1, k)
+        assert len(set(tuples)) == len(tuples)
+        assert tuples == sorted(tuples)
+        assert all(list(t) == sorted(t) for t in tuples)
+        # one sorted representative per multiset of the k-fold product
+        assert set(tuples) == {tuple(sorted(t)) for t in itertools.product(range(m), repeat=k)}
 
 
 def test_enumerate_tuples_matches_seed_products_on_fixture():
     fx = tight_line_fixture(0.1)
     seeds = bc.gonzalez(bc.PointSet(fx.points), 3, first_index=1)
-    tuples = list(bc.enumerate_tuples(seeds.indices, 3))
-    assert len(tuples) == 27
+    tuples = bc.enumerate_tuples(seeds.indices, 3)
+    assert len(tuples) == 10
 
 
-def test_enumerate_tuples_cap():
+def test_enumerate_tuples_cap(monkeypatch):
+    # the cap counts the C(m + k - 1, k) multisets swept, inclusively
+    monkeypatch.setattr(candidates, "TUPLE_CAP", 10)
+    assert len(bc.enumerate_tuples(3, 3)) == 10
+    assert len(bc.enumerate_tuples(2, 9)) == 10
+    with pytest.raises(bc.InputError, match="cap"):
+        bc.enumerate_tuples(4, 3)
+    with pytest.raises(bc.InputError, match="cap"):
+        bc.enumerate_tuples(2, 10)
+    monkeypatch.undo()
+    assert math.comb(69 + 3, 4) <= candidates.TUPLE_CAP < math.comb(70 + 3, 4)
+    with pytest.raises(bc.InputError, match="cap"):
+        bc.enumerate_tuples(70, 4)
     with pytest.raises(bc.InputError):
-        bc.enumerate_tuples(64, 8, cap=1 << 20)
+        bc.enumerate_tuples(0, 2)
 
 
 def test_candidate_quality_percentile():

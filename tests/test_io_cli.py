@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_cli_run_median_with_oracle(tmp_path, capsys):
     assert run_cli(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"]["ratio"] >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("objective, k", [("center", 3), ("median", 2), ("means", 2)])
+def test_cli_diagnostics_count_swept_multisets(tmp_path, capsys, objective, k):
+    n = 24
+    data = tmp_path / "pts.csv"
+    write_points_csv(data, random_points(21, n, 2).points)
+    argv = [
+        "run", "--input", str(data), "-k", str(k), "--lower", str(n // k - 2), "--upper", str(n // k + 2),
+        "--objective", objective, "--seed", "3", "--emit-diagnostics",
+    ]
+    assert run_cli(argv) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    m = k if objective == "center" else diagnostics["num_candidates"]
+    assert m > 1
+    assert diagnostics["tuples_evaluated"] == math.comb(m + k - 1, k)
 
 
 def test_cli_output_file(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -206,14 +209,22 @@ def test_infeasible_bounds_rejected_before_solving():
         bc.solve_kbcenter(ps, 3, bc.BalanceBounds(3, 3))
 
 
-def test_threads_do_not_change_result():
-    ps = random_points(123, 30, 3)
-    bounds = bc.BalanceBounds(8, 12)
-    a = bc.solve_kbcenter(ps, 3, bounds, threads=1)
-    b = bc.solve_kbcenter(ps, 3, bounds, threads=4)
-    assert a.value == b.value
-    assert a.centers.tolist() == b.centers.tolist()
-    assert a.assignment.labels.tolist() == b.assignment.labels.tolist()
+def test_multiset_sweep_matches_ordered_product():
+    # uniform bounds make clusters interchangeable, so the sorted multisets
+    # find the same winner as the full k-fold product, ties included
+    for seed in range(8):
+        rng = np.random.default_rng(seed + 300)
+        k = 3 if seed % 2 else 4
+        n = int(rng.integers(12, 30))
+        ps = random_points(seed + 301, n, 2)
+        bounds = random_bounds(rng, n, k)
+        multisets = bc.solve_kbcenter(ps, k, bounds)
+        product = bc.solve_kbcenter(ps, k, bounds, tuples=list(itertools.product(range(k), repeat=k)))
+        assert multisets.diagnostics["tuples_evaluated"] == math.comb(2 * k - 1, k)
+        assert product.diagnostics["tuples_evaluated"] == k**k
+        assert multisets.value == product.value
+        assert multisets.centers.tolist() == product.centers.tolist()
+        assert multisets.assignment.labels.tolist() == product.assignment.labels.tolist()
 
 
 def test_matrix_oracle_solve():

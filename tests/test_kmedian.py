@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -149,14 +151,24 @@ def test_degenerate_tuple_round_robin():
     assert res.assignment.sizes.tolist() == [3, 3]
 
 
-def test_threads_do_not_change_result():
-    ps = random_points(512, 14, 2)
-    bounds = bc.BalanceBounds(4, 10)
-    a = bc.solve_balanced(ps, 2, bounds, objective="median", seed=9, threads=1)
-    b = bc.solve_balanced(ps, 2, bounds, objective="median", seed=9, threads=4)
-    assert a.value == b.value
-    assert a.centers.tolist() == b.centers.tolist()
-    assert a.assignment.labels.tolist() == b.assignment.labels.tolist()
+def test_permuted_tuples_share_lp_objective():
+    # the sweep keeps one sorted tuple per multiset; every reordering of its
+    # centers must give the same flow objective within the tie tolerance
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 40)
+        n = int(rng.integers(10, 16))
+        ps = random_points(seed + 41, n, 2)
+        for objective, k in (("median", 3), ("means", 2)):
+            bounds = random_bounds(rng, n, k)
+            candidates, _ = bc.bicriteria_centers(ps, k, seed=seed, objective=objective, oversample=2)
+            for tup in bc.enumerate_tuples(candidates, k):
+                centers = candidates[list(tup)]
+                lps = [
+                    bc.assignment_lp(centers[list(perm)], ps, bounds, 0.5, objective).lp_objective
+                    for perm in set(itertools.permutations(range(k)))
+                ]
+                tol = 1e-12 * max(1.0, max(abs(v) for v in lps))
+                assert max(lps) - min(lps) <= tol
 
 
 def test_center_objective_rejected():
