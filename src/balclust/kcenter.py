@@ -19,10 +19,11 @@ from .core import (
     StructureError,
     as_oracle,
     evaluate_objective,
+    nearest_distances,
     round_robin_assignment,
 )
 from .flow import FlowNetwork, FlowSolution, coverage_network, max_flow
-from .regions import RegionTable, build_coverage_regions, coverage_region_counts
+from .regions import CONTAINMENT_SLACK, RegionTable, build_coverage_regions, coverage_region_counts
 from .rounding import round_to_integral
 
 
@@ -81,14 +82,28 @@ def expand_assignment(
 
 
 def _search_tuples(table, ladder, tuple_list, bounds):
-    """Smallest feasible (ladder index, order, tuple) over the tuples, pruning
-    each binary search below the best so far; ties keep the earliest tuple."""
+    """Smallest feasible (ladder index, order, tuple) over the tuples, plus
+    the probe count and the number of tuples skipped; ties keep the earliest
+    tuple.
+
+    Each binary search runs from the rung of r_cov = max_i min_j d(i, t_j),
+    the first ladder value whose containment threshold covers the tuple's
+    farthest point (every lower rung fails coverage under the same ``<=``
+    test that ``coverage_region_counts`` applies), up to one rung below the
+    best so far. A tuple whose r_cov rung is not below the best is skipped
+    without a probe or a column copy.
+    """
+    rows = np.ascontiguousarray(table.T)
+    thresholds = ladder * (1.0 + CONTAINMENT_SLACK)
     best = None
-    probes = 0
+    probes = pruned = 0
     for order, tup in enumerate(tuple_list):
-        cols = np.ascontiguousarray(table[:, tup])
-        lo = 0
+        lo = int(np.searchsorted(thresholds, nearest_distances(rows, tup).max(), side="left"))
         hi = (best[0] - 1) if best is not None else len(ladder) - 1
+        if lo > hi:
+            pruned += 1
+            continue
+        cols = np.ascontiguousarray(table[:, tup])
         found = None
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -100,7 +115,7 @@ def _search_tuples(table, ladder, tuple_list, bounds):
                 lo = mid + 1
         if found is not None:
             best = (found, order, tup)
-    return best, probes
+    return best, probes, pruned
 
 
 def solve_kbcenter(
@@ -120,6 +135,13 @@ def solve_kbcenter(
     labels. Ties go to the earliest tuple. ``tuples`` replaces the searched
     tuples (tuples of candidate positions, in any order); ``centers``
     overrides the candidate set with explicit point indices.
+
+    A search starts at the rung of the radius that covers every point with
+    its nearest center of the tuple, and a tuple whose rung is not below the
+    best so far is skipped unprobed (``_search_tuples``); neither step can
+    change the result. ``diagnostics`` counts the swept tuples
+    (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the
+    feasibility probes (``probes``).
     """
     oracle = as_oracle(source)
     n = oracle.n
@@ -152,7 +174,7 @@ def solve_kbcenter(
         # All candidate distances are zero: any balanced split costs zero.
         assignment = round_robin_assignment(n, k, bounds)
         chosen = candidate_idx[np.zeros(k, dtype=np.int64)]
-        diagnostics.update({"degenerate": True, "tuples_evaluated": 0, "probes": 0})
+        diagnostics.update({"degenerate": True, "tuples_evaluated": 0, "tuples_pruned": 0, "probes": 0})
         return ClusteringResult(
             objective="center",
             k=k,
@@ -163,7 +185,7 @@ def solve_kbcenter(
             diagnostics=diagnostics,
         )
 
-    best, probes = _search_tuples(table, ladder, tuple_list, bounds)
+    best, probes, pruned = _search_tuples(table, ladder, tuple_list, bounds)
     if best is None:
         raise StructureError("no feasible radius found despite validated bounds")
     ladder_idx, order, tup = best
@@ -183,6 +205,7 @@ def solve_kbcenter(
     diagnostics.update(
         {
             "tuples_evaluated": len(tuple_list),
+            "tuples_pruned": pruned,
             "probes": probes,
             "best_tuple_positions": list(tup),
             "best_tuple_order": order,

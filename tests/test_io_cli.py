@@ -115,6 +115,7 @@ def test_cli_diagnostics_count_swept_multisets(tmp_path, capsys, objective, k):
     m = k if objective == "center" else diagnostics["num_candidates"]
     assert m > 1
     assert diagnostics["tuples_evaluated"] == math.comb(m + k - 1, k)
+    assert 0 <= diagnostics["tuples_pruned"] < diagnostics["tuples_evaluated"]
 
 
 def test_cli_output_file(tmp_path):

@@ -236,3 +236,70 @@ def test_matrix_oracle_solve():
     res_m = bc.solve_kbcenter(oracle, 2, bounds)
     res_e = bc.solve_kbcenter(bc.PointSet(pts), 2, bounds)
     assert res_m.value == pytest.approx(res_e.value, rel=1e-12)
+
+
+def _first_feasible_rung(cols, ladder, bounds):
+    for idx, r in enumerate(ladder):
+        if bc.check_feasible(cols, float(r), bounds) is not None:
+            return idx
+    return None
+
+
+def test_pruned_search_matches_full_ladder_scan():
+    # starting each search at the r_cov rung and skipping tuples whose rung
+    # is not below the incumbent must find the winner of a full scan
+    from balclust.oracle import planted_fixture
+
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed + 700)
+        n = int(rng.integers(12, 30))
+        k = 2 + seed % 3
+        ps = random_points(seed + 701, n, 2)
+        centers = None if seed % 2 else rng.choice(n, size=k + 2, replace=False)
+        cases.append((ps, k, random_bounds(rng, n, k), centers))
+    fx = planted_fixture(k=2, group=3, gap=10.0)  # many tuples tie at radius zero
+    cases.append((bc.PointSet(fx.points), 2, fx.bounds, np.arange(6)))
+
+    pruned = 0
+    for ps, k, bounds, centers in cases:
+        res = bc.solve_kbcenter(ps, k, bounds, centers=centers)
+        candidates = np.asarray(res.diagnostics["candidates"])
+        table = bc.distance_table(ps, candidates)
+        ladder = radius_ladder(table)
+        best = None
+        for tup in bc.enumerate_tuples(len(candidates), k):
+            rung = _first_feasible_rung(np.ascontiguousarray(table[:, tup]), ladder, bounds)
+            if rung is not None and (best is None or rung < best[0]):
+                best = (rung, tup)
+        rung, tup = best
+        winner = bc.solve_kbcenter(ps, k, bounds, centers=candidates, tuples=[tup])
+        assert winner.diagnostics["search_radius"] == ladder[rung]
+        assert res.diagnostics["search_radius"] == ladder[rung]
+        assert res.centers.tolist() == candidates[list(tup)].tolist()
+        assert res.assignment.labels.tolist() == winner.assignment.labels.tolist()
+        assert res.value == winner.value
+        assert 0 <= res.diagnostics["tuples_pruned"] < res.diagnostics["tuples_evaluated"]
+        pruned += res.diagnostics["tuples_pruned"]
+    assert pruned > 0
+
+
+def test_covering_rung_is_the_search_floor():
+    # below the rung of r_cov = max_i min_j d(i, t_j) some point is uncovered;
+    # at that rung every point is covered
+    from balclust.regions import coverage_region_counts
+
+    for seed in range(12):
+        rng = np.random.default_rng(seed + 800)
+        n = int(rng.integers(6, 25))
+        k = int(rng.integers(1, 4))
+        ps = random_points(seed + 801, n, 2)
+        bounds = random_bounds(rng, n, k)
+        table = bc.distance_table(ps, rng.choice(n, size=4, replace=False))
+        ladder = radius_ladder(table)
+        for _ in range(4):
+            cols = np.ascontiguousarray(table[:, rng.integers(0, 4, size=k)])
+            lo = int(np.searchsorted(ladder * (1 + CONTAINMENT_SLACK), cols.min(axis=1).max(), side="left"))
+            if lo > 0:
+                assert bc.check_feasible(cols, float(ladder[lo - 1]), bounds) is None
+            assert coverage_region_counts(cols, float(ladder[lo])) is not None

@@ -5,7 +5,7 @@ import pytest
 
 import balclust as bc
 from balclust.flow import level_network, max_flow
-from balclust.kmedian import REGION_CAP
+from balclust.kmedian import REGION_CAP, nearest_bound
 from balclust.oracle import (
     brute_force_optimum,
     exact_balanced_assignment,
@@ -177,3 +177,98 @@ def test_center_objective_rejected():
         bc.solve_balanced(ps, 2, bc.BalanceBounds(3, 3), objective="center")
     with pytest.raises(bc.InputError):
         bc.assignment_lp([0, 1], ps, bc.BalanceBounds(3, 3), 1.0, "center")
+
+
+class FixedGenerator(bc.CandidateGenerator):
+    name = "fixed"
+
+    def __init__(self, indices):
+        self.indices = np.asarray(indices, dtype=np.int64)
+
+    def generate(self, source, k, objective):
+        return self.indices
+
+
+def _unpruned_reference(ps, candidates, k, bounds, epsilon, objective, region_cap=REGION_CAP):
+    """assignment_lp on every multiset; the first one strictly below the
+    incumbent by more than the 1e-12 tie tolerance takes over."""
+    best_lp, best_tup = None, None
+    for tup in bc.enumerate_tuples(len(candidates), k):
+        centers = candidates[list(tup)]
+        lp = bc.assignment_lp(centers, ps, bounds, epsilon, objective, region_cap).lp_objective
+        if best_lp is None or lp < best_lp - 1e-12 * max(1.0, abs(lp), abs(best_lp)):
+            best_lp, best_tup = lp, tup
+    centers = candidates[list(best_tup)]
+    res = bc.assignment_lp(centers, ps, bounds, epsilon, objective, region_cap)
+    value = bc.evaluate_objective(res.assignment, centers, ps, objective)
+    return best_lp, centers, res.assignment.labels, value
+
+
+def test_pruned_sweep_matches_unpruned_reference():
+    # skipping tuples whose nearest-center bound cannot beat the incumbent
+    # must leave the winner, its labels and its flow objective unchanged
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed + 500)
+        n = int(rng.integers(12, 30))
+        k = 2 + seed % 2
+        ps = random_points(seed + 501, n, 2)
+        for objective in ("median", "means"):
+            candidates, _ = bc.bicriteria_centers(ps, k, seed=seed, objective=objective, oversample=2)
+            cases.append((ps, candidates, k, random_bounds(rng, n, k), 0.5, objective, REGION_CAP))
+    for k in (2, 3):
+        fx = planted_fixture(k=k, group=3, gap=25.0)  # many tuples tie at cost zero
+        for objective in ("median", "means"):
+            cases.append((bc.PointSet(fx.points), np.arange(3 * k), k, fx.bounds, 1.0, objective, REGION_CAP))
+    rng = np.random.default_rng(7)
+    points = rng.standard_normal((14, 3))
+    points[1] = points[0] + 1e-9 * rng.standard_normal(3)  # ladders of about 30 rings at the pair
+    near = bc.PointSet(points)
+    for objective in ("median", "means"):
+        cases.append((near, np.array([0, 1, 5, 9]), 2, bc.BalanceBounds(5, 9), 1.0, objective, 1 << 8))
+
+    pruned = fallbacks = 0
+    for ps, candidates, k, bounds, epsilon, objective, region_cap in cases:
+        res = bc.solve_balanced(
+            ps, k, bounds, epsilon=epsilon, objective=objective,
+            generator=FixedGenerator(candidates), region_cap=region_cap,
+        )
+        lp, centers, labels, value = _unpruned_reference(
+            ps, candidates, k, bounds, epsilon, objective, region_cap
+        )
+        assert res.diagnostics["lp_objective"] == lp
+        assert res.centers.tolist() == centers.tolist()
+        assert res.assignment.labels.tolist() == labels.tolist()
+        assert res.value == value
+        assert 0 <= res.diagnostics["tuples_pruned"] < res.diagnostics["tuples_evaluated"]
+        pruned += res.diagnostics["tuples_pruned"]
+        fallbacks += res.diagnostics["fallbacks"]
+    assert pruned > 0
+    assert fallbacks > 0
+
+
+def test_nearest_bounds_are_lower_bounds():
+    # the ring bound is the flow optimum without [L, U]; the plain bound is
+    # the exact cost without [L, U]
+    for seed in range(12):
+        rng = np.random.default_rng(seed + 600)
+        n = int(rng.integers(8, 25))
+        k = int(rng.integers(1, 4))
+        ps = random_points(seed + 601, n, 2)
+        bounds = random_bounds(rng, n, k)
+        for _ in range(4):
+            centers = rng.integers(0, n, size=k)  # repeats allowed, as in multisets
+            cols = bc.distance_table(ps, centers)
+            extremes = bc.extreme_distances(cols)
+            if extremes is None:
+                continue
+            schedule = build_level_schedule(*extremes, 0.5)
+            nearest = cols.min(axis=1)
+            for objective in ("median", "means"):
+                squared = objective == "means"
+                ring = nearest_bound(nearest, schedule, squared, exact=False)
+                lp = bc.assignment_lp(centers, ps, bounds, 0.5, objective).lp_objective
+                assert ring <= lp * (1 + 1e-12)
+                exact = bc.assignment_lp(centers, ps, bounds, 0.5, objective, region_cap=1)
+                assert exact.fallback
+                assert nearest_bound(nearest, schedule, squared, exact=True) <= exact.lp_objective * (1 + 1e-12)
