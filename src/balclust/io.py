@@ -1,6 +1,11 @@
-"""Strict parsers for point and distance-matrix inputs.
+"""Parsers for point and distance-matrix inputs.
 
-Every parse failure names the offending row and column (1-based).
+CSV files are read by numpy's C parser (``np.loadtxt``). A file it rejects,
+or that reads as empty or holds a non-finite value, is read again by the
+strict parser, so every file gives the strict parser's array or its error.
+Every parse failure names the offending row, and the column where a cell is
+at fault. Both are 1-based; rows are counted in the file, header and blank
+lines included.
 """
 
 from __future__ import annotations
@@ -8,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -16,6 +22,7 @@ from .core import InputError, MatrixOracle, PointSet
 
 def _rows_from_csv(path: str, skip_header: bool) -> list[list[float]]:
     rows: list[list[float]] = []
+    row_numbers: list[int] = []
     with open(path, newline="") as fh:
         for rno, row in enumerate(csv.reader(fh), start=1):
             if skip_header and rno == 1:
@@ -34,17 +41,44 @@ def _rows_from_csv(path: str, skip_header: bool) -> list[list[float]]:
                     raise InputError(f"{path}: row {rno}, column {cno}: non-finite value")
                 values.append(value)
             rows.append(values)
+            row_numbers.append(rno)
     if not rows:
         raise InputError(f"{path}: no data rows")
     width = len(rows[0])
-    for rno, row in enumerate(rows, start=1):
+    for rno, row in zip(row_numbers, rows):
         if len(row) != width:
             raise InputError(f"{path}: row {rno} has {len(row)} columns, expected {width}")
     return rows
 
 
+def _read_csv(path: str, skip_header: bool) -> np.ndarray:
+    """The file's data rows as a 2-d float64 array.
+
+    ``np.loadtxt`` parses the file without building a Python float per
+    cell. Whatever it cannot read as a non-empty, all-finite array (quoted
+    cells, ``1_0``, whitespace-only lines, ragged or bad rows) goes to
+    :func:`_rows_from_csv`, which returns the array or raises the
+    :class:`InputError` that names the row and column. A bad file is thus
+    parsed twice; a good one once.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is the strict parser's to report.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(
+                path, delimiter=",", dtype=np.float64, ndmin=2,
+                comments=None, quotechar=None, skiprows=int(skip_header),
+            )
+    except (ValueError, OSError):
+        pass
+    else:
+        if arr.size and np.isfinite(arr).all():
+            return arr
+    return np.asarray(_rows_from_csv(path, skip_header))
+
+
 def read_points_csv(path: str, skip_header: bool = False) -> PointSet:
-    return PointSet(np.asarray(_rows_from_csv(path, skip_header)))
+    return PointSet(_read_csv(path, skip_header))
 
 
 def read_points_json(path: str) -> PointSet:
@@ -73,8 +107,7 @@ def read_points_json(path: str) -> PointSet:
 
 
 def read_matrix_csv(path: str, skip_header: bool = False) -> MatrixOracle:
-    rows = _rows_from_csv(path, skip_header)
-    matrix = np.asarray(rows)
+    matrix = _read_csv(path, skip_header)
     if matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"{path}: distance matrix must be square, got {matrix.shape}")
     return MatrixOracle(matrix)

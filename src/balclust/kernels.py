@@ -20,7 +20,7 @@ if not _DISABLED:
         from numba import njit
 
         NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra (balclust[numba])
         pass
 
 #: Active backend switch. Resolved from the environment at import time;

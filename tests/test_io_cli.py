@@ -1,10 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import balclust as bc
+import balclust.io as bio
 from balclust.cli import main, run_scaling_bench
 from balclust.io import read_matrix_csv, read_points_csv, read_points_json, write_points_csv
 from balclust.oracle import tight_line_fixture
@@ -60,6 +65,91 @@ def test_matrix_csv(tmp_path):
     bad.write_text("0.0,1.0,2.0\n1.0,0.0,1.0\n")
     with pytest.raises(bc.InputError, match="square"):
         read_matrix_csv(bad)
+
+
+@pytest.mark.parametrize("text, skip_header", [("x,y\n1,2\n3\n", True), ("1,2\n\n3\n", False)])
+def test_csv_ragged_error_names_file_row(tmp_path, text, skip_header):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(bc.InputError, match="row 3 has 1 columns, expected 2"):
+        read_points_csv(path, skip_header=skip_header)
+
+
+_CELL_TEXT = [repr, "%.17g".__mod__, "%g".__mod__]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(2**63), 2**63).map(float)
+        | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    ),
+    cell_text=st.sampled_from(_CELL_TEXT),
+    skip_header=st.booleans(),
+)
+def test_csv_fast_path_matches_strict_parser(tmp_path_factory, values, cell_text, skip_header):
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    header = ",".join(f"x{j}" for j in range(values.shape[1])) + "\n" if skip_header else ""
+    path.write_text(header + "".join(",".join(map(cell_text, row)) + "\n" for row in values.tolist()))
+    with mock.patch.object(bio, "_rows_from_csv", side_effect=AssertionError("strict parser called")):
+        fast = read_points_csv(path, skip_header=skip_header).points
+    strict = np.asarray(bio._rows_from_csv(path, skip_header))
+    assert fast.shape == strict.shape == values.shape
+    assert np.array_equal(fast.view(np.int64), strict.view(np.int64))
+
+
+# name: (file bytes, skip_header, what the strict parser gives)
+_CSV_EDGE_CASES = {
+    "quoted cells": (b'"1.5",2\n3,"4"\n', False, "array"),
+    "underscore digits": (b"1_0,2\n3,4\n", False, "array"),
+    "whitespace-only line": (b"1,2\n  \t\n3,4\n", False, "array"),
+    "comma-only line": (b"1,2\n,\n3,4\n", False, "array"),
+    "hash line": (b"# x,y\n1,2\n", False, "error"),
+    "hash header": (b"# x,y\n1,2\n", True, "array"),
+    "trailing comma": (b"1,2,\n3,4,\n", False, "error"),
+    "nan": (b"1,nan\n3,4\n", False, "error"),
+    "inf": (b"1,2\n-inf,4\n", False, "error"),
+    "overflow": (b"1,2\n1e999,4\n", False, "error"),
+    "utf-8 bom": (b"\xef\xbb\xbf1,2\n3,4\n", False, "error"),
+    "utf-8 bom header": (b"\xef\xbb\xbfx,y\n1,2\n", True, "array"),
+    "crlf": (b"1,2\r\n3,4\r\n", False, "array"),
+    "blank first line and header": (b"\nx,y\n1,2\n", True, "error"),
+    "empty file": (b"", False, "error"),
+    "header only": (b"x,y\n", True, "error"),
+    "single value": (b"7.25\n", False, "array"),
+}
+
+
+def _csv_outcome(read):
+    try:
+        arr = read()
+    except bc.InputError as exc:
+        return "error", str(exc)
+    return "array", arr.shape, arr.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data, skip_header, kind", list(_CSV_EDGE_CASES.values()), ids=list(_CSV_EDGE_CASES))
+def test_csv_edge_cases_match_strict_parser(tmp_path, data, skip_header, kind):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    outcome = _csv_outcome(lambda: read_points_csv(path, skip_header=skip_header).points)
+    assert outcome == _csv_outcome(lambda: np.asarray(bio._rows_from_csv(path, skip_header)))
+    assert outcome[0] == kind
+
+
+def test_matrix_csv_header_and_ragged_row(tmp_path):
+    mat = euclidean_matrix(random_points(4, 3, 2).points)
+    path = tmp_path / "mat.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
+    assert np.array_equal(read_matrix_csv(path, skip_header=True).matrix, mat)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0,1,2\n1,0,1\n\n2,1\n")
+    with pytest.raises(bc.InputError, match="row 4 has 2 columns, expected 3"):
+        read_matrix_csv(ragged)
 
 
 def run_cli(args):
@@ -168,6 +258,17 @@ def test_cli_matrix_input(tmp_path, capsys):
     assert run_cli(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "center_coords" not in payload
+
+
+def test_cli_matrix_bad_cell_exit_code(tmp_path, capsys):
+    bad = tmp_path / "mat.csv"
+    bad.write_text("0,1,2\n1,0,x\n2,1,0\n")
+    code = run_cli([
+        "run", "--input", str(bad), "--format", "csv-matrix",
+        "-k", "1", "--lower", "1", "--upper", "3",
+    ])
+    assert code == 2
+    assert "row 2, column 3: 'x' is not a number" in capsys.readouterr().err
 
 
 def test_bench_rows_and_determinism():
