@@ -2,7 +2,10 @@
 
 CSV files are read by numpy's C parser (``np.loadtxt``). A file it rejects,
 or that reads as empty or holds a non-finite value, is read again by the
-strict parser, so every file gives the strict parser's array or its error.
+strict parser, so a file gives the strict parser's array or its error. The
+exceptions are files the strict parser's csv reader cannot read although
+their data rows are plain numbers: a header with an unclosed quote, or a
+field over the csv module's 131,072-character limit. Those now load.
 Every parse failure names the offending row, and the column where a cell is
 at fault. Both are 1-based; rows are counted in the file, header and blank
 lines included.
@@ -61,19 +64,21 @@ def _read_csv(path: str, skip_header: bool) -> np.ndarray:
     :class:`InputError` that names the row and column. A bad file is thus
     parsed twice; a good one once.
     """
-    try:
-        with warnings.catch_warnings():
-            # An empty file is the strict parser's to report.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(
-                path, delimiter=",", dtype=np.float64, ndmin=2,
-                comments=None, quotechar=None, skiprows=int(skip_header),
-            )
-    except (ValueError, OSError):
-        pass
-    else:
-        if arr.size and np.isfinite(arr).all():
-            return arr
+    # Given a path, numpy would also fetch URLs and read a missing file's
+    # .gz/.bz2/.xz sibling; given the open file it reads only that file.
+    with open(path) as fh:
+        try:
+            with warnings.catch_warnings():
+                # An empty file is the strict parser's to report.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                arr = np.loadtxt(
+                    fh, delimiter=",", dtype=np.float64, ndmin=2,
+                    comments=None, quotechar=None, skiprows=int(skip_header),
+                )
+        except ValueError:
+            arr = None
+    if arr is not None and arr.size and np.isfinite(arr).all():
+        return arr
     return np.asarray(_rows_from_csv(path, skip_header))
 
 
