@@ -1,5 +1,5 @@
-"""Command-line surface: solve one instance (``run``) or sweep instance
-sizes and kernel backends for scaling measurements (``bench``)."""
+"""Command-line surface: solve one instance (``run``) or time solves over a
+sweep of instance sizes for scaling measurements (``bench``)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .candidates import BicriteriaGenerator, GonzalezGenerator
 from .core import (
     BalanceBounds,
@@ -61,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--epsilon", type=float, default=1.0)
     bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument(
-        "--backends",
-        default="numba" if kernels.NUMBA_AVAILABLE else "numpy",
-        help="comma-separated kernel backends to compare (numba,numpy)",
-    )
     bench.add_argument("--output", default=None, help="write CSV here instead of stdout")
     return parser
 
@@ -157,7 +151,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-BENCH_FIELDS = ["n", "d", "k", "objective", "backend", "seconds", "cost"]
+BENCH_FIELDS = ["n", "d", "k", "objective", "seconds", "cost"]
 
 
 def run_scaling_bench(
@@ -167,58 +161,42 @@ def run_scaling_bench(
     objective: str,
     seed: int = 0,
     epsilon: float = 1.0,
-    backends=("numba",),
     repeats: int = 1,
 ) -> list[dict]:
-    """Timed solves on synthetic Gaussian data, one row per (backend, n).
+    """Timed solves on synthetic Gaussian data, one row per n.
 
-    Each backend is warmed up on a small instance first so jit compilation
-    never lands inside a timed region; the reported time is the best of
-    ``repeats`` runs. The cost column is identical across invocations with
-    the same seed and backend (and in practice across backends too; exact
-    ties between candidate tuples are broken by generation order).
+    One untimed solve of a small instance runs first, so first-call costs
+    never land inside a timed region; the reported time is the best of
+    ``repeats`` runs. The cost
+    column is identical across invocations with the same seed (exact ties
+    between candidate tuples are broken by generation order).
     """
+    rng = np.random.default_rng(seed)
+    warm = EuclideanOracle(rng.standard_normal((max(64, 4 * k), dim)))
+    _solve_bench(warm, k, objective, epsilon, seed)
+
     rows: list[dict] = []
-    saved = kernels.USE_NUMBA
-    try:
-        for backend in backends:
-            if backend == "numba":
-                if not kernels.NUMBA_AVAILABLE:
-                    raise InputError("numba backend requested but numba is not importable")
-                kernels.USE_NUMBA = True
-            elif backend == "numpy":
-                kernels.USE_NUMBA = False
-            else:
-                raise InputError(f"unknown backend {backend!r}")
-
-            rng = np.random.default_rng(seed)
-            warm = EuclideanOracle(rng.standard_normal((max(64, 4 * k), dim)))
-            _solve_bench(warm, k, objective, epsilon, seed)
-
-            for n in sizes:
-                data_rng = np.random.default_rng(seed + int(n))
-                oracle = EuclideanOracle(data_rng.standard_normal((int(n), dim)))
-                best = None
-                cost = None
-                for _ in range(max(1, repeats)):
-                    t0 = time.perf_counter()
-                    result = _solve_bench(oracle, k, objective, epsilon, seed)
-                    dt = time.perf_counter() - t0
-                    best = dt if best is None else min(best, dt)
-                    cost = result.value
-                rows.append(
-                    {
-                        "n": int(n),
-                        "d": dim,
-                        "k": k,
-                        "objective": objective,
-                        "backend": backend,
-                        "seconds": best,
-                        "cost": cost,
-                    }
-                )
-    finally:
-        kernels.USE_NUMBA = saved
+    for n in sizes:
+        data_rng = np.random.default_rng(seed + int(n))
+        oracle = EuclideanOracle(data_rng.standard_normal((int(n), dim)))
+        best = None
+        cost = None
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            result = _solve_bench(oracle, k, objective, epsilon, seed)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+            cost = result.value
+        rows.append(
+            {
+                "n": int(n),
+                "d": dim,
+                "k": k,
+                "objective": objective,
+                "seconds": best,
+                "cost": cost,
+            }
+        )
     return rows
 
 
@@ -234,7 +212,6 @@ def _solve_bench(oracle, k, objective, epsilon, seed):
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     rows = run_scaling_bench(
         sizes,
         args.dim,
@@ -242,7 +219,6 @@ def cmd_bench(args) -> int:
         args.objective,
         seed=args.seed,
         epsilon=args.epsilon,
-        backends=backends,
         repeats=args.repeats,
     )
     out = open(args.output, "w", newline="") if args.output else sys.stdout

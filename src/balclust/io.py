@@ -6,9 +6,10 @@ strict parser, so a file gives the strict parser's array or its error. The
 exceptions are files the strict parser's csv reader cannot read although
 their data rows are plain numbers: a header with an unclosed quote, or a
 field over the csv module's 131,072-character limit. Those now load.
-Every parse failure names the offending row, and the column where a cell is
-at fault. Both are 1-based; rows are counted in the file, header and blank
-lines included.
+Every parse failure is an :class:`InputError` that names the offending row,
+and the column where a cell is at fault; bytes the text encoding cannot
+decode make their cell fail as not a number. Both are 1-based; rows are
+counted in the file, header and blank lines included.
 """
 
 from __future__ import annotations
@@ -23,11 +24,26 @@ import numpy as np
 from .core import InputError, MatrixOracle, PointSet
 
 
+def _records(fh, path: str):
+    """The csv records of ``fh`` with their 1-based row numbers. A csv error,
+    such as a field over the csv module's size limit, becomes an
+    :class:`InputError` naming its row."""
+    rno = 0
+    try:
+        for rno, row in enumerate(csv.reader(fh), start=1):
+            yield rno, row
+    except csv.Error as exc:
+        raise InputError(f"{path}: row {rno + 1}: {exc}") from None
+
+
 def _rows_from_csv(path: str, skip_header: bool) -> list[list[float]]:
     rows: list[list[float]] = []
     row_numbers: list[int] = []
-    with open(path, newline="") as fh:
-        for rno, row in enumerate(csv.reader(fh), start=1):
+    # Undecodable bytes become lone surrogates, so they fail as a cell that
+    # is not a number, in their own row and column; a decode error would be
+    # raised for a whole block of the file, not for the row holding them.
+    with open(path, newline="", errors="surrogateescape") as fh:
+        for rno, row in _records(fh, path):
             if skip_header and rno == 1:
                 continue
             if not row or all(not cell.strip() for cell in row):

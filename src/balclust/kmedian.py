@@ -166,8 +166,8 @@ def _tie_tolerance(a: float, b: float) -> float:
 
 def _improves(key, incumbent):
     """Smaller flow objective wins; ties within float dust (1e-12 relative)
-    fall back to generation order so near-equal tuples rank identically on
-    every kernel backend."""
+    fall back to generation order, so tuples whose objectives differ only by
+    rounding rank by the order they were generated in."""
     lp, order = key
     best_lp, best_order = incumbent
     tol = _tie_tolerance(lp, best_lp)

@@ -271,27 +271,43 @@ def test_cli_matrix_bad_cell_exit_code(tmp_path, capsys):
     assert "row 2, column 3: 'x' is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, skip_header, where", [
+    # a byte that is not UTF-8, in the second data row
+    (b"1,2\n3,4\n5,\xff\n", False, "row 3, column 2: '\\udcff' is not a number"),
+    # a header the fast path must skip, then a cell over the csv field limit
+    # that reads as inf, so the strict parser is asked to report it
+    (b"x,y\n1,2\n3," + b"1" * 200_000 + b"\n", True, "row 3: field larger than field limit"),
+], ids=["byte 0xff", "cell over field limit"])
+def test_cli_unreadable_csv_exit_code(tmp_path, capsys, data, skip_header, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    args = ["run", "--input", str(bad), "-k", "1", "--lower", "1", "--upper", "3"]
+    code = run_cli(args + ["--skip-header"] * skip_header)
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
 def test_bench_rows_and_determinism():
     rows = run_scaling_bench([200, 400], dim=4, k=2, objective="center",
-                             seed=1, backends=["numpy"], repeats=1)
+                             seed=1, repeats=1)
     assert [r["n"] for r in rows] == [200, 400]
     rows2 = run_scaling_bench([200, 400], dim=4, k=2, objective="center",
-                              seed=1, backends=["numpy"], repeats=1)
+                              seed=1, repeats=1)
     assert [r["cost"] for r in rows] == [r["cost"] for r in rows2]
 
 
 def test_bench_cli_empty_sweep(capsys):
-    assert run_cli(["bench", "--sizes", "", "--backends", "numpy"]) == 0
+    assert run_cli(["bench", "--sizes", ""]) == 0
     out = capsys.readouterr().out
-    assert out.strip() == "n,d,k,objective,backend,seconds,cost"
+    assert out.strip() == "n,d,k,objective,seconds,cost"
 
 
 def test_bench_cli_rows(capsys):
     code = run_cli([
         "bench", "--sizes", "128,256", "--dim", "3", "-k", "2",
-        "--objective", "median", "--backends", "numpy",
+        "--objective", "median",
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
-    assert lines[1].startswith("128,3,2,median,numpy,")
+    assert lines[1].startswith("128,3,2,median,")
