@@ -9,7 +9,8 @@ field over the csv module's 131,072-character limit. Those now load.
 Every parse failure is an :class:`InputError` that names the offending row,
 and the column where a cell is at fault; bytes the text encoding cannot
 decode make their cell fail as not a number. Both are 1-based; rows are
-counted in the file, header and blank lines included.
+the lines of the file, header and blank lines included, and a record whose
+quoted cell holds a line break is named by the line it starts on.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ from .core import InputError, MatrixOracle, PointSet
 
 
 def _records(fh, path: str):
-    """The csv records of ``fh`` with their 1-based row numbers. A csv error,
-    such as a field over the csv module's size limit, becomes an
-    :class:`InputError` naming its row."""
-    rno = 0
+    """The csv records of ``fh``, each with the 1-based file line it starts
+    on (a quoted cell may hold line breaks, so a record can span lines). A
+    csv error, such as a field over the csv module's size limit, becomes an
+    :class:`InputError` naming the line its record starts on."""
+    reader = csv.reader(fh)
+    start = 1
     try:
-        for rno, row in enumerate(csv.reader(fh), start=1):
-            yield rno, row
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise InputError(f"{path}: row {rno + 1}: {exc}") from None
+        raise InputError(f"{path}: row {start}: {exc}") from None
 
 
 def _rows_from_csv(path: str, skip_header: bool) -> list[list[float]]:

@@ -186,6 +186,10 @@ def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool, e
     ..., alpha_T] (squared for means) indexed by the point's ring digit; ring
     cost is non-decreasing in distance, so it equals the flow optimum without
     size bounds. For the exact fallback (``exact``) it is sum_i nearest_i^p.
+
+    The sweep computes the ring form from shared digit rows
+    (``_SharedRings.bound``) and calls this only for fallback tuples; the
+    ring form stays as the reference that the shared bound must equal.
     """
     power = 2 if squared else 1
     if exact:
@@ -194,30 +198,95 @@ def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool, e
     return float(ring[kernels.level_codes(nearest[:, None], schedule.alphas)].sum())
 
 
+class _SharedRings:
+    """Ring schedules and ring digits of one sweep, shared across tuples.
+
+    ``rows`` is the candidate table transposed to C-contiguous (m, n) rows.
+    A tuple's ladder is r_min * (1 + epsilon)^t, where r_min is the smallest
+    positive distance of its *source*: the member with the smallest
+    ``col_min`` (ties to the lowest position). Every ladder from one source
+    is a prefix of the source's long ladder, which runs up to the largest
+    distance of any candidate, and ring digits are monotone in distance. So
+    a candidate's digits under the long ladder are its digits under every
+    tuple ladder from that source, and the digit of a point's nearest
+    distance is the minimum of the members' digits.
+
+    Three lazy dicts hold the work: the long ladder's alphas and ring costs
+    per source, one digit row per (source, candidate) pair (n uint8 values,
+    wider once the ladder passes 255 rungs; at most m(m+1)/2 rows, since a
+    source never has a larger ``col_min`` than its members) and one
+    schedule per (r_min, r_max).
+    """
+
+    def __init__(self, rows: np.ndarray, epsilon: float, squared: bool):
+        self.rows = rows
+        self.epsilon = epsilon
+        self.power = 2 if squared else 1
+        self.col_max = rows.max(axis=1).tolist()
+        self.col_min = [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, self.col_max)]
+        self.ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.digits: dict[tuple[int, int], np.ndarray] = {}
+        self.schedules: dict[tuple[float, float], LevelSchedule] = {}
+
+    def schedule(self, tup) -> LevelSchedule | None:
+        """The tuple's ring schedule; None when every distance is zero."""
+        r_max = max(self.col_max[t] for t in tup)
+        if r_max <= 0.0:
+            return None
+        key = (min(self.col_min[t] for t in tup), r_max)
+        if key not in self.schedules:
+            self.schedules[key] = build_level_schedule(*key, self.epsilon)
+        return self.schedules[key]
+
+    def _digit_row(self, source: int, t: int) -> np.ndarray:
+        if source not in self.ladders:
+            alphas = build_level_schedule(self.col_min[source], max(self.col_max), self.epsilon).alphas
+            self.ladders[source] = (alphas, np.concatenate(([0.0], alphas**self.power)))
+        row = self.digits.get((source, t))
+        if row is None:
+            alphas = self.ladders[source][0]
+            codes = kernels.level_codes(self.rows[t][:, None], alphas)
+            row = self.digits[(source, t)] = codes.astype(np.min_scalar_type(alphas.size))
+        return row
+
+    def bound(self, tup) -> float:
+        """``nearest_bound(..., exact=False)`` of a tuple with a schedule,
+        bit for bit: sum_i ring_s[min_j digits[s, t_j]_i] for source s."""
+        source = min(tup, key=self.col_min.__getitem__)
+        nearest = self._digit_row(source, tup[0])
+        for t in tup[1:]:
+            nearest = np.minimum(nearest, self._digit_row(source, t))
+        return float(self.ladders[source][1][nearest].sum())
+
+
 def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap):
     """Smallest ((lp_objective, order), tuple) over ``tuple_list``, plus the
     counters ``fallbacks`` (exact fallbacks actually run), ``degenerate`` and
-    ``pruned``.
+    ``pruned``, and ``work``: the digit rows and tuple schedules built.
 
-    Each tuple's r_min/r_max, and so its ring schedule, come in O(k) from
-    per-candidate extremes computed once. Once an incumbent exists, a tuple
-    is first bounded by ``nearest_bound``; when the bound exceeds the
-    incumbent by more than the ``_improves`` tolerance the tuple cannot win,
-    not even a tie, and is skipped before its columns are copied.
+    Schedules, and the ring digits behind the bound, are shared across
+    tuples through ``_SharedRings``: a tuple's schedule is built once per
+    (r_min, r_max), and each point's ring digit once per (source, candidate)
+    pair rather than once per tuple. Once an incumbent exists, a tuple is
+    first bounded by the cost of its nearest-center assignment with the size
+    bounds dropped: ``_SharedRings.bound`` for ring tuples,
+    ``nearest_bound(exact=True)`` of ``nearest_distances`` for tuples that
+    take the exact fallback. When the bound exceeds the incumbent by more
+    than the ``_improves`` tolerance the tuple cannot win, not even a tie,
+    and is skipped before its columns are copied.
     """
     squared = objective == "means"
     rows = np.ascontiguousarray(table.T)
-    col_max = rows.max(axis=1).tolist()
-    col_min = [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, col_max)]
+    rings = _SharedRings(rows, epsilon, squared)
     best = None
     stats = {"fallbacks": 0, "degenerate": 0, "pruned": 0}
     for order, tup in enumerate(tuple_list):
-        r_max = max(col_max[t] for t in tup)
-        extremes = (min(col_min[t] for t in tup), r_max) if r_max > 0.0 else None
-        schedule = _schedule(extremes, epsilon)
+        schedule = rings.schedule(tup)
         if best is not None and schedule is not None:
-            exact = _takes_fallback(schedule, len(tup), region_cap)
-            bound = nearest_bound(nearest_distances(rows, tup), schedule, squared, exact)
+            if _takes_fallback(schedule, len(tup), region_cap):
+                bound = nearest_bound(nearest_distances(rows, tup), schedule, squared, exact=True)
+            else:
+                bound = rings.bound(tup)
             best_lp = best[0][0]
             if bound > best_lp + _tie_tolerance(bound, best_lp):
                 stats["pruned"] += 1
@@ -229,6 +298,7 @@ def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap):
         key = (res.lp_objective, order)
         if best is None or _improves(key, best[0]):
             best = (key, tup)
+    stats["work"] = {"digit_rows": len(rings.digits), "schedules": len(rings.schedules)}
     return best, stats
 
 
@@ -251,7 +321,10 @@ def solve_balanced(
     (``_evaluate_tuples``); it could not have won, so the result is the one a
     full sweep gives. ``diagnostics`` counts the swept multisets
     (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the exact
-    per-point fallbacks actually run (``fallbacks``).
+    per-point fallbacks actually run (``fallbacks``). ``diagnostics["work"]``
+    counts the work the sweep shared across multisets: ``digit_rows``, the
+    ring digit rows built (one per source and candidate pair), and
+    ``schedules``, the ring schedules built (one per distinct (r_min, r_max)).
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -294,6 +367,7 @@ def solve_balanced(
         "tuples_pruned": stats["pruned"],
         "fallbacks": stats["fallbacks"],
         "degenerate_tuples": stats["degenerate"],
+        "work": stats["work"],
     }
     if isinstance(generator, BicriteriaGenerator) and generator.last_cost is not None:
         diagnostics["unconstrained_candidate_cost"] = generator.last_cost

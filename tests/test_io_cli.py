@@ -1,6 +1,7 @@
 import gzip
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ def test_csv_ragged_error_names_file_row(tmp_path, text, skip_header):
     path.write_text(text)
     with pytest.raises(bc.InputError, match="row 3 has 1 columns, expected 2"):
         read_points_csv(path, skip_header=skip_header)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"1\n",2\n3,x\n', "row 3, column 2: 'x' is not a number"),
+    ('"1\n",2\n3\n', "row 3 has 1 columns, expected 2"),
+    ('"1\n",2\n3,' + "1" * 200_000 + "\n", "row 3: field larger than field limit"),
+], ids=["bad cell", "ragged row", "cell over field limit"])
+def test_csv_errors_name_the_file_line(tmp_path, text, message):
+    # the quoted first cell holds a line break, so the bad record is the
+    # second one but starts on the third line of the file
+    path = tmp_path / "multiline.csv"
+    path.write_text(text)
+    with pytest.raises(bc.InputError, match=re.escape(message)):
+        read_points_csv(path)
 
 
 # name: (file bytes, skip_header, what the strict parser gives)

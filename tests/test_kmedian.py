@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import balclust as bc
+from balclust.candidates import enumerate_tuples
+from balclust.core import nearest_distances
 from balclust.flow import level_network, max_flow
-from balclust.kmedian import REGION_CAP, nearest_bound
+from balclust.kmedian import REGION_CAP, _SharedRings, nearest_bound
 from balclust.oracle import (
     brute_force_optimum,
     exact_balanced_assignment,
@@ -272,3 +274,68 @@ def test_nearest_bounds_are_lower_bounds():
                 exact = bc.assignment_lp(centers, ps, bounds, 0.5, objective, region_cap=1)
                 assert exact.fallback
                 assert nearest_bound(nearest, schedule, squared, exact=True) <= exact.lp_objective * (1 + 1e-12)
+
+
+def test_level_ladders_from_one_radius_nest():
+    # the shared bound relies on every ladder from one r_min being an
+    # element-for-element prefix of every longer ladder from it
+    rng = np.random.default_rng(800)
+    for _ in range(400):
+        epsilon = float(rng.choice([0.01, 0.1, 0.5, 1.0, rng.uniform(0.001, 3.0)]))
+        r = float(rng.uniform(1e-6, 10.0))
+        r1 = r * float(np.exp(rng.uniform(0.0, 6.0)))
+        r2 = r1 * float(np.exp(rng.uniform(0.0, 6.0)))
+        short = build_level_schedule(r, r1, epsilon).alphas
+        long = build_level_schedule(r, r2, epsilon).alphas
+        assert short.size <= long.size
+        assert np.array_equal(short, long[: short.size])
+
+
+def _shared_bound_instances():
+    rng = np.random.default_rng(810)
+    for seed in range(6):
+        ps = random_points(seed + 811, int(rng.integers(10, 30)), 2)
+        yield ps, rng.choice(ps.n, size=4, replace=False), 0.5
+    # duplicated points put several points at distance 0 from a candidate
+    points = rng.standard_normal((16, 2))
+    points[5:8] = points[0]
+    yield bc.PointSet(points), np.array([0, 3, 9, 12]), 0.5
+    # candidates 0 and 1 are each other's nearest other point, at distance 1,
+    # so their smallest positive distances are equal
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 1.0], [-4.0, 3.0], [3.0, -6.0], [0.5, 7.0], [-6.0, -2.0]])
+    yield bc.PointSet(points), np.array([0, 1, 2, 3]), 0.5
+    # distances from 1e-3 to about 100 need over 255 rungs at epsilon 0.01
+    points = rng.standard_normal((20, 2)) * 40.0
+    points[1] = points[0] + [1e-3, 0.0]
+    yield bc.PointSet(points), np.array([0, 1, 4, 7, 11]), 0.01
+
+
+def test_shared_ring_bound_matches_nearest_bound():
+    # the sweep's digit-minimum bound must equal nearest_bound of the
+    # tuple's own schedule bit for bit, so pruning and the winner stay as
+    # a per-tuple bound decides them
+    equal_sources = wide_rows = 0
+    for ps, candidates, epsilon in _shared_bound_instances():
+        table = bc.distance_table(ps, candidates)
+        rows = np.ascontiguousarray(table.T)
+        m = candidates.size
+        for objective in ("median", "means"):
+            squared = objective == "means"
+            rings = _SharedRings(rows, epsilon, squared)
+            for k in (1, 2, 3):
+                for tup in enumerate_tuples(m, k):  # multisets repeat candidates
+                    extremes = bc.extreme_distances(table[:, tup])
+                    schedule = rings.schedule(tup)
+                    if extremes is None:
+                        assert schedule is None
+                        continue
+                    reference = build_level_schedule(*extremes, epsilon)
+                    assert np.array_equal(schedule.alphas, reference.alphas)
+                    nearest = nearest_distances(rows, tup)
+                    assert rings.bound(tup) == nearest_bound(nearest, reference, squared, exact=False)
+            assert len(rings.digits) <= m * (m + 1) // 2
+            assert all(row.min() == 0 for (s, c), row in rings.digits.items() if s == c)
+            wide_rows += sum(row.dtype == np.uint16 for row in rings.digits.values())
+        equal_sources += len(set(rings.col_min)) < m
+    assert equal_sources > 0
+    assert wide_rows > 0
