@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, StructureError
-from .regions import RegionTable, LevelSchedule, ZERO_LEVEL
+from .regions import RegionTable, LevelSchedule
 
 COST_TOL = 1e-9
 
@@ -109,10 +109,7 @@ def level_network(
     k = regions.k
     er = np.repeat(np.arange(nr, dtype=np.int64), k)
     ec = np.tile(np.arange(k, dtype=np.int64), nr)
-    cost = np.empty(nr * k)
-    for r in range(nr):
-        for j in range(k):
-            cost[r * k + j] = schedule.cost(int(regions.levels[r, j]), squared)
+    cost = schedule.ring_costs(squared)[regions.levels + 1].ravel()
     return FlowNetwork(
         supplies=regions.counts.astype(np.int64),
         k=k,

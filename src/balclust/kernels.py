@@ -56,16 +56,20 @@ def coverage_counts(cols: np.ndarray, threshold: float) -> tuple[np.ndarray, int
 # alpha_t >= distance).
 
 
-def level_codes(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Mixed-radix ring code per point (digit 0 = exact hit on the center)."""
-    k = cols.shape[1]
-    base = np.int64(alphas.size + 1)
+def level_digits(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Ring digit per point and center (0 = exact hit on the center)."""
     lev = np.searchsorted(alphas, cols, side="left")
     np.minimum(lev, alphas.size - 1, out=lev)
     digits = (lev + 1).astype(np.int64)
     digits[cols == 0.0] = 0
-    weights = base ** np.arange(k, dtype=np.int64)
-    return digits @ weights
+    return digits
+
+
+def level_codes(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Mixed-radix ring code per point; wraps once (T + 2)^k exceeds 2^63."""
+    base = np.int64(alphas.size + 1)
+    weights = base ** np.arange(cols.shape[1], dtype=np.int64)
+    return level_digits(cols, alphas) @ weights
 
 
 # ------------------------------------------------- farthest-point traversal

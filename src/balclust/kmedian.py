@@ -6,6 +6,10 @@ factor, so the flow objective sandwiches the true assignment cost:
 cost <= flow objective < (1 + epsilon) * cost for the sum objective and
 (1 + epsilon)^2 for sum-of-squares. Points at exact distance zero sit in a
 reserved free ring, which keeps zero-cost placements representable.
+
+Every tuple with a ring schedule takes the same path: ring regions
+(``build_level_regions``), their network (``level_network``) and one
+min-cost max flow, whose size is at most min(n, (T + 2)^k) regions times k.
 """
 
 from __future__ import annotations
@@ -27,17 +31,12 @@ from .core import (
     distance_table,
     evaluate_objective,
     extreme_distances,
-    nearest_distances,
     round_robin_assignment,
 )
-from .flow import FlowNetwork, FlowSolution, level_network, min_cost_max_flow
+from .flow import FlowSolution, level_network, min_cost_max_flow
 from .kcenter import expand_assignment
-from .regions import LevelSchedule, build_level_regions, build_level_schedule
+from .regions import LevelSchedule, build_level_regions, build_level_schedule, level_codes_overflow
 from .rounding import round_to_integral
-
-#: Fall back to the exact per-point assignment when the ring-region space
-#: (T + 2)^k exceeds this cap; the fallback is exact, just not n-independent.
-REGION_CAP = 1 << 20
 
 
 @dataclass
@@ -49,29 +48,6 @@ class AssignmentLPResult:
     assignment: BalancedAssignment | None
     region_flows: FlowSolution | None = None
     degenerate: bool = False
-    fallback: bool = False
-
-
-def _exact_point_assignment(cols: np.ndarray, bounds: BalanceBounds, squared: bool) -> tuple[float, BalancedAssignment]:
-    """Per-point min-cost flow with unit supplies: exact but O(n)-sized."""
-    n, k = cols.shape
-    costs = cols**2 if squared else cols
-    net = FlowNetwork(
-        supplies=np.ones(n, dtype=np.int64),
-        k=k,
-        lower=bounds.lower,
-        upper=bounds.upper,
-        edge_region=np.repeat(np.arange(n, dtype=np.int64), k),
-        edge_cluster=np.tile(np.arange(k, dtype=np.int64), n),
-        edge_cost=costs.ravel().astype(np.float64),
-    )
-    sol = min_cost_max_flow(net)
-    if sol is None:
-        raise StructureError("exact assignment infeasible despite validated bounds")
-    flows = np.rint(sol.flows).astype(np.int64).reshape(n, k)
-    labels = np.argmax(flows, axis=1)
-    assignment = BalancedAssignment.from_labels(labels, k, bounds)
-    return float(sol.cost), assignment
 
 
 def _schedule(extremes: tuple[float, float] | None, epsilon: float) -> LevelSchedule | None:
@@ -80,17 +56,11 @@ def _schedule(extremes: tuple[float, float] | None, epsilon: float) -> LevelSche
     return None if extremes is None else build_level_schedule(*extremes, epsilon)
 
 
-def _takes_fallback(schedule: LevelSchedule, k: int, region_cap: int) -> bool:
-    """Whether the ring-region space (T + 2)^k exceeds the cap."""
-    return float(schedule.alphas.size + 1) ** k > region_cap
-
-
 def _lp_from_columns(
     cols: np.ndarray,
     schedule: LevelSchedule | None,
     bounds: BalanceBounds,
     objective: str,
-    region_cap: int = REGION_CAP,
     with_assignment: bool = True,
 ) -> AssignmentLPResult:
     """Assignment LP of the tuple behind ``cols`` under its ring ``schedule``
@@ -105,11 +75,6 @@ def _lp_from_columns(
         assignment = round_robin_assignment(n, k, bounds) if with_assignment else None
         return AssignmentLPResult(
             lp_objective=0.0, true_cost=0.0, assignment=assignment, degenerate=True
-        )
-    if _takes_fallback(schedule, k, region_cap):
-        cost, assignment = _exact_point_assignment(cols, bounds, squared)
-        return AssignmentLPResult(
-            lp_objective=cost, true_cost=cost, assignment=assignment, fallback=True
         )
     regions = build_level_regions(cols, schedule, with_members=with_assignment)
     net = level_network(regions, schedule, bounds.lower, bounds.upper, squared=squared)
@@ -140,7 +105,6 @@ def assignment_lp(
     bounds: BalanceBounds,
     epsilon: float,
     objective: str = "median",
-    region_cap: int = REGION_CAP,
 ) -> AssignmentLPResult:
     """Best balanced assignment to ``centers`` under ring costs.
 
@@ -156,7 +120,7 @@ def assignment_lp(
     k = len(centers)
     bounds.validate(oracle.n, k)
     cols = distance_table(oracle, centers)
-    return _lp_from_columns(cols, _schedule(extreme_distances(cols), epsilon), bounds, objective, region_cap)
+    return _lp_from_columns(cols, _schedule(extreme_distances(cols), epsilon), bounds, objective)
 
 
 def _tie_tolerance(a: float, b: float) -> float:
@@ -178,23 +142,19 @@ def _improves(key, incumbent):
     return order < best_order
 
 
-def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool, exact: bool) -> float:
-    """Lower bound on a tuple's objective from each point's distance to its
-    nearest center: the cost of the assignment with the [L, U] bounds dropped.
+def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool) -> float:
+    """Lower bound on a tuple's flow objective from each point's distance to
+    its nearest center: the ring cost of the assignment with the [L, U]
+    bounds dropped.
 
-    For the ring flow this is sum_i ring(nearest_i) with ring = [0, alpha_0,
-    ..., alpha_T] (squared for means) indexed by the point's ring digit; ring
-    cost is non-decreasing in distance, so it equals the flow optimum without
-    size bounds. For the exact fallback (``exact``) it is sum_i nearest_i^p.
+    This is sum_i ring(nearest_i) with ring = ``schedule.ring_costs(squared)``
+    indexed by the point's ring digit; ring cost is non-decreasing in
+    distance, so it equals the flow optimum without size bounds.
 
-    The sweep computes the ring form from shared digit rows
-    (``_SharedRings.bound``) and calls this only for fallback tuples; the
-    ring form stays as the reference that the shared bound must equal.
+    The sweep computes it from shared digit rows (``_SharedRings.bound``);
+    this form stays as the reference that the shared bound must equal.
     """
-    power = 2 if squared else 1
-    if exact:
-        return float((nearest**power).sum())
-    ring = np.concatenate(([0.0], schedule.alphas**power))
+    ring = schedule.ring_costs(squared)
     return float(ring[kernels.level_codes(nearest[:, None], schedule.alphas)].sum())
 
 
@@ -221,7 +181,7 @@ class _SharedRings:
     def __init__(self, rows: np.ndarray, epsilon: float, squared: bool):
         self.rows = rows
         self.epsilon = epsilon
-        self.power = 2 if squared else 1
+        self.squared = squared
         self.col_max = rows.max(axis=1).tolist()
         self.col_min = [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, self.col_max)]
         self.ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -240,8 +200,8 @@ class _SharedRings:
 
     def _digit_row(self, source: int, t: int) -> np.ndarray:
         if source not in self.ladders:
-            alphas = build_level_schedule(self.col_min[source], max(self.col_max), self.epsilon).alphas
-            self.ladders[source] = (alphas, np.concatenate(([0.0], alphas**self.power)))
+            long = build_level_schedule(self.col_min[source], max(self.col_max), self.epsilon)
+            self.ladders[source] = (long.alphas, long.ring_costs(self.squared))
         row = self.digits.get((source, t))
         if row is None:
             alphas = self.ladders[source][0]
@@ -250,8 +210,8 @@ class _SharedRings:
         return row
 
     def bound(self, tup) -> float:
-        """``nearest_bound(..., exact=False)`` of a tuple with a schedule,
-        bit for bit: sum_i ring_s[min_j digits[s, t_j]_i] for source s."""
+        """``nearest_bound`` of a tuple with a schedule, bit for bit:
+        sum_i ring_s[min_j digits[s, t_j]_i] for source s."""
         source = min(tup, key=self.col_min.__getitem__)
         nearest = self._digit_row(source, tup[0])
         for t in tup[1:]:
@@ -259,21 +219,20 @@ class _SharedRings:
         return float(self.ladders[source][1][nearest].sum())
 
 
-def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap):
+def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective):
     """Smallest ((lp_objective, order), tuple) over ``tuple_list``, plus the
-    counters ``fallbacks`` (exact fallbacks actually run), ``degenerate`` and
+    counters ``fallbacks`` (flows whose regions were grouped by digit rows
+    because their ring codes would overflow int64), ``degenerate`` and
     ``pruned``, and ``work``: the digit rows and tuple schedules built.
 
     Schedules, and the ring digits behind the bound, are shared across
     tuples through ``_SharedRings``: a tuple's schedule is built once per
     (r_min, r_max), and each point's ring digit once per (source, candidate)
     pair rather than once per tuple. Once an incumbent exists, a tuple is
-    first bounded by the cost of its nearest-center assignment with the size
-    bounds dropped: ``_SharedRings.bound`` for ring tuples,
-    ``nearest_bound(exact=True)`` of ``nearest_distances`` for tuples that
-    take the exact fallback. When the bound exceeds the incumbent by more
-    than the ``_improves`` tolerance the tuple cannot win, not even a tie,
-    and is skipped before its columns are copied.
+    first bounded by the ring cost of its nearest-center assignment with the
+    size bounds dropped (``_SharedRings.bound``). When the bound exceeds the
+    incumbent by more than the ``_improves`` tolerance the tuple cannot win,
+    not even a tie, and is skipped before its columns are copied.
     """
     squared = objective == "means"
     rows = np.ascontiguousarray(table.T)
@@ -283,17 +242,14 @@ def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap):
     for order, tup in enumerate(tuple_list):
         schedule = rings.schedule(tup)
         if best is not None and schedule is not None:
-            if _takes_fallback(schedule, len(tup), region_cap):
-                bound = nearest_bound(nearest_distances(rows, tup), schedule, squared, exact=True)
-            else:
-                bound = rings.bound(tup)
+            bound = rings.bound(tup)
             best_lp = best[0][0]
             if bound > best_lp + _tie_tolerance(bound, best_lp):
                 stats["pruned"] += 1
                 continue
         cols = np.ascontiguousarray(table[:, tup])
-        res = _lp_from_columns(cols, schedule, bounds, objective, region_cap, with_assignment=False)
-        stats["fallbacks"] += int(res.fallback)
+        res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=False)
+        stats["fallbacks"] += int(schedule is not None and level_codes_overflow(schedule, len(tup)))
         stats["degenerate"] += int(res.degenerate)
         key = (res.lp_objective, order)
         if best is None or _improves(key, best[0]):
@@ -310,7 +266,6 @@ def solve_balanced(
     objective: str = "median",
     generator: CandidateGenerator | None = None,
     seed: int = 0,
-    region_cap: int = REGION_CAP,
 ) -> ClusteringResult:
     """Evaluate every k-multiset of the candidates (``enumerate_tuples``) and
     return the one with the smallest flow objective, expanded to a balanced
@@ -320,8 +275,10 @@ def solve_balanced(
     objective so far by more than that float dust is skipped without a flow
     (``_evaluate_tuples``); it could not have won, so the result is the one a
     full sweep gives. ``diagnostics`` counts the swept multisets
-    (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the exact
-    per-point fallbacks actually run (``fallbacks``). ``diagnostics["work"]``
+    (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the
+    swept flows whose ring regions were grouped by rows of ring digits
+    because their mixed-radix ring codes would overflow int64
+    (``fallbacks``; see ``build_level_regions``). ``diagnostics["work"]``
     counts the work the sweep shared across multisets: ``digit_rows``, the
     ring digit rows built (one per source and candidate pair), and
     ``schedules``, the ring schedules built (one per distinct (r_min, r_max)).
@@ -344,12 +301,12 @@ def solve_balanced(
         raise InputError("candidate generator produced no centers")
     tuple_list = enumerate_tuples(int(candidate_idx.size), k)
     table = oracle.columns(candidate_idx)
-    best, stats = _evaluate_tuples(table, tuple_list, bounds, epsilon, objective, region_cap)
+    best, stats = _evaluate_tuples(table, tuple_list, bounds, epsilon, objective)
 
     (lp_objective, order), tup = best
     cols = np.ascontiguousarray(table[:, tup])
     schedule = _schedule(extreme_distances(cols), epsilon)
-    res = _lp_from_columns(cols, schedule, bounds, objective, region_cap, with_assignment=True)
+    res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=True)
     if abs(res.lp_objective - lp_objective) > 1e-9 * max(1.0, abs(lp_objective)):
         raise StructureError("winning tuple re-solve disagrees with the sweep")
     chosen = candidate_idx[list(tup)]

@@ -2,8 +2,8 @@
 
 Regions make all downstream flow work independent of n: coverage bitmasks
 give at most 2^k - 1 nonempty regions for a single radius, ring-level codes
-give at most (T + 2)^k for a geometric radius schedule. Only nonempty
-regions are materialized.
+give at most min(n, (T + 2)^k) for a geometric radius schedule. Only
+nonempty regions are materialized.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ class LevelSchedule:
     epsilon: float
     levels: int  # T
 
-    def cost(self, level: int, squared: bool = False) -> float:
-        """Cost coefficient of a ring; the reserved zero level is free."""
-        if level == ZERO_LEVEL:
-            return 0.0
-        a = float(self.alphas[level])
-        return a * a if squared else a
+    def ring_costs(self, squared: bool = False) -> np.ndarray:
+        """Cost coefficient of each ring, indexed by ring digit (level + 1):
+        [0, alpha_0, ..., alpha_T], squared for the sum-of-squares objective.
+        Digit 0, the reserved zero level, is free."""
+        return np.concatenate(([0.0], self.alphas**2 if squared else self.alphas))
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,10 @@ class RegionTable:
     """Nonempty regions: unique signature keys, per-region counts closing to n,
     and (optionally) per-region member index lists, each sorted ascending.
 
-    ``kind`` is "coverage" (keys are ball bitmasks) or "level" (keys are
-    mixed-radix ring codes; ``levels`` holds the decoded (R, k) level matrix
-    with ZERO_LEVEL marking exact center hits).
+    ``kind`` is "coverage" (keys are ball bitmasks) or "level" (``levels``
+    holds the (R, k) level matrix with ZERO_LEVEL marking exact center hits;
+    keys are mixed-radix ring codes, or region ids 0..R-1 where those codes
+    would overflow int64, see ``level_codes_overflow``).
     """
 
     kind: str
@@ -134,29 +134,45 @@ def build_level_schedule(r_min: float, r_max: float, epsilon: float) -> LevelSch
     return LevelSchedule(alphas=alphas, epsilon=float(epsilon), levels=levels)
 
 
+def level_codes_overflow(schedule: LevelSchedule, k: int) -> bool:
+    """Whether the mixed-radix ring codes of k columns, up to (T + 2)^k - 1,
+    overflow int64."""
+    return (schedule.alphas.size + 1) ** k > 1 << 63
+
+
 def build_level_regions(table: np.ndarray, schedule: LevelSchedule, with_members: bool = True) -> RegionTable:
     """Group points by their ring level vector under the schedule.
 
     Level t >= 0 means the distance lies in (alpha_{t-1}, alpha_t] (boundary
     points belong to the inner ring's closure); exact distance 0 maps to the
     reserved ZERO_LEVEL so zero-cost placements stay representable.
+
+    Points are grouped by their mixed-radix ring code. Where that code would
+    overflow int64 they are grouped by their rows of ring digits instead, in
+    lexicographic row order, and the keys are region ids.
     """
     k = table.shape[1]
     if schedule.alphas[-1] < table.max():
         raise InputError("level schedule does not cover the largest table distance")
-    codes = kernels.level_codes(table, schedule.alphas)
+    overflow = level_codes_overflow(schedule, k)
+    if overflow:
+        rows, codes = np.unique(kernels.level_digits(table, schedule.alphas), axis=0, return_inverse=True)
+        codes = codes.ravel()
+    else:
+        codes = kernels.level_codes(table, schedule.alphas)
     if with_members:
         keys, counts, members = _group_by_code(codes)
     else:
         keys, counts = np.unique(codes, return_counts=True)
         counts = counts.astype(np.int64)
         members = None
-    levels = decode_level_keys(keys, k, schedule)
+    levels = rows - 1 if overflow else decode_level_keys(keys, k, schedule)
     return RegionTable(kind="level", k=k, keys=keys, counts=counts, members=members, levels=levels)
 
 
 def decode_level_keys(keys: np.ndarray, k: int, schedule: LevelSchedule) -> np.ndarray:
-    """Inverse of the mixed-radix ring coding: (R, k) level matrix."""
+    """Inverse of the mixed-radix ring coding: (R, k) level matrix. Valid
+    only for keys that are ring codes (not ``level_codes_overflow``)."""
     base = np.int64(schedule.alphas.size + 1)
     digits = (keys[:, None] // base ** np.arange(k, dtype=np.int64)) % base
     return (digits - 1).astype(np.int64)

@@ -7,7 +7,7 @@ import balclust as bc
 from balclust.candidates import enumerate_tuples
 from balclust.core import nearest_distances
 from balclust.flow import level_network, max_flow
-from balclust.kmedian import REGION_CAP, _SharedRings, nearest_bound
+from balclust.kmedian import _SharedRings, nearest_bound
 from balclust.oracle import (
     brute_force_optimum,
     exact_balanced_assignment,
@@ -133,16 +133,46 @@ def test_reported_cost_matches_recomputation():
     assert abs(res.value - again) <= 1e-9 * max(1.0, res.value)
 
 
-def test_region_cap_falls_back_to_exact():
-    ps = random_points(8, 12, 2)
-    bounds = bc.BalanceBounds(4, 8)
-    centers = [0, 11]
-    capped = bc.assignment_lp(centers, ps, bounds, 0.5, "median", region_cap=4)
-    assert capped.fallback
-    w, _ = exact_balanced_assignment(centers, ps, bounds, "median")
-    assert capped.lp_objective == pytest.approx(w, abs=1e-9)
-    assert capped.true_cost == pytest.approx(w, abs=1e-9)
-    assert REGION_CAP > 4
+def _assert_sandwich(lp_objective, true_cost, w, epsilon, objective):
+    power = 2 if objective == "means" else 1
+    assert w <= true_cost * (1 + 1e-12)
+    assert true_cost <= lp_objective * (1 + 1e-12)
+    assert lp_objective < (1 + epsilon) ** power * w
+
+
+def test_near_duplicate_solves_on_ring_regions():
+    # a point 1e-9 from the first Gonzalez seed stretches the ring ladder of
+    # every tuple holding that seed to about 33 rungs; such tuples still take
+    # the ring-region flow and meet the (1 + epsilon) sandwich
+    rng = np.random.default_rng(101)
+    points = rng.standard_normal((160, 8))
+    step = rng.standard_normal(8)
+    points[1] = points[0] + 1e-9 * step / np.linalg.norm(step)
+    ps = bc.PointSet(points)
+    bounds = bc.BalanceBounds(36, 44)
+    generator = bc.GonzalezGenerator()
+    seeds = generator.generate(ps, 4, "median")
+    assert seeds[0] == 0
+    res = bc.solve_balanced(ps, 4, bounds, epsilon=1.0, objective="median", generator=generator)
+    assert res.diagnostics["fallbacks"] == 0
+    w, _ = exact_balanced_assignment(res.centers, ps, bounds, "median")
+    _assert_sandwich(res.diagnostics["lp_objective"], res.value, w, 1.0, "median")
+    lp = bc.assignment_lp(seeds, ps, bounds, 1.0, "median")
+    w, _ = exact_balanced_assignment(seeds, ps, bounds, "median")
+    _assert_sandwich(lp.lp_objective, lp.true_cost, w, 1.0, "median")
+
+
+def test_overflowing_ring_codes_solve_on_digit_rows():
+    # at k = 6 and epsilon 1e-3 every ladder has about 3,050 rungs, so the
+    # ring codes (T + 2)^6 overflow int64 and regions group by digit rows
+    ps = random_points(1, 30, 3)
+    bounds = bc.BalanceBounds(4, 6)
+    generator = FixedGenerator([0, 3, 7, 11, 19, 23])
+    for objective in ("median", "means"):
+        res = bc.solve_balanced(ps, 6, bounds, epsilon=1e-3, objective=objective, generator=generator)
+        assert res.diagnostics["fallbacks"] > 0
+        w, _ = exact_balanced_assignment(res.centers, ps, bounds, objective)
+        _assert_sandwich(res.diagnostics["lp_objective"], res.value, w, 1e-3, objective)
 
 
 def test_degenerate_tuple_round_robin():
@@ -191,17 +221,17 @@ class FixedGenerator(bc.CandidateGenerator):
         return self.indices
 
 
-def _unpruned_reference(ps, candidates, k, bounds, epsilon, objective, region_cap=REGION_CAP):
+def _unpruned_reference(ps, candidates, k, bounds, epsilon, objective):
     """assignment_lp on every multiset; the first one strictly below the
     incumbent by more than the 1e-12 tie tolerance takes over."""
     best_lp, best_tup = None, None
     for tup in bc.enumerate_tuples(len(candidates), k):
         centers = candidates[list(tup)]
-        lp = bc.assignment_lp(centers, ps, bounds, epsilon, objective, region_cap).lp_objective
+        lp = bc.assignment_lp(centers, ps, bounds, epsilon, objective).lp_objective
         if best_lp is None or lp < best_lp - 1e-12 * max(1.0, abs(lp), abs(best_lp)):
             best_lp, best_tup = lp, tup
     centers = candidates[list(best_tup)]
-    res = bc.assignment_lp(centers, ps, bounds, epsilon, objective, region_cap)
+    res = bc.assignment_lp(centers, ps, bounds, epsilon, objective)
     value = bc.evaluate_objective(res.assignment, centers, ps, objective)
     return best_lp, centers, res.assignment.labels, value
 
@@ -217,41 +247,35 @@ def test_pruned_sweep_matches_unpruned_reference():
         ps = random_points(seed + 501, n, 2)
         for objective in ("median", "means"):
             candidates, _ = bc.bicriteria_centers(ps, k, seed=seed, objective=objective, oversample=2)
-            cases.append((ps, candidates, k, random_bounds(rng, n, k), 0.5, objective, REGION_CAP))
+            cases.append((ps, candidates, k, random_bounds(rng, n, k), 0.5, objective))
     for k in (2, 3):
         fx = planted_fixture(k=k, group=3, gap=25.0)  # many tuples tie at cost zero
         for objective in ("median", "means"):
-            cases.append((bc.PointSet(fx.points), np.arange(3 * k), k, fx.bounds, 1.0, objective, REGION_CAP))
+            cases.append((bc.PointSet(fx.points), np.arange(3 * k), k, fx.bounds, 1.0, objective))
     rng = np.random.default_rng(7)
     points = rng.standard_normal((14, 3))
     points[1] = points[0] + 1e-9 * rng.standard_normal(3)  # ladders of about 30 rings at the pair
     near = bc.PointSet(points)
     for objective in ("median", "means"):
-        cases.append((near, np.array([0, 1, 5, 9]), 2, bc.BalanceBounds(5, 9), 1.0, objective, 1 << 8))
+        cases.append((near, np.array([0, 1, 5, 9]), 2, bc.BalanceBounds(5, 9), 1.0, objective))
 
-    pruned = fallbacks = 0
-    for ps, candidates, k, bounds, epsilon, objective, region_cap in cases:
+    pruned = 0
+    for ps, candidates, k, bounds, epsilon, objective in cases:
         res = bc.solve_balanced(
-            ps, k, bounds, epsilon=epsilon, objective=objective,
-            generator=FixedGenerator(candidates), region_cap=region_cap,
+            ps, k, bounds, epsilon=epsilon, objective=objective, generator=FixedGenerator(candidates)
         )
-        lp, centers, labels, value = _unpruned_reference(
-            ps, candidates, k, bounds, epsilon, objective, region_cap
-        )
+        lp, centers, labels, value = _unpruned_reference(ps, candidates, k, bounds, epsilon, objective)
         assert res.diagnostics["lp_objective"] == lp
         assert res.centers.tolist() == centers.tolist()
         assert res.assignment.labels.tolist() == labels.tolist()
         assert res.value == value
         assert 0 <= res.diagnostics["tuples_pruned"] < res.diagnostics["tuples_evaluated"]
         pruned += res.diagnostics["tuples_pruned"]
-        fallbacks += res.diagnostics["fallbacks"]
     assert pruned > 0
-    assert fallbacks > 0
 
 
 def test_nearest_bounds_are_lower_bounds():
-    # the ring bound is the flow optimum without [L, U]; the plain bound is
-    # the exact cost without [L, U]
+    # the ring bound is the flow optimum without [L, U]
     for seed in range(12):
         rng = np.random.default_rng(seed + 600)
         n = int(rng.integers(8, 25))
@@ -268,12 +292,9 @@ def test_nearest_bounds_are_lower_bounds():
             nearest = cols.min(axis=1)
             for objective in ("median", "means"):
                 squared = objective == "means"
-                ring = nearest_bound(nearest, schedule, squared, exact=False)
+                ring = nearest_bound(nearest, schedule, squared)
                 lp = bc.assignment_lp(centers, ps, bounds, 0.5, objective).lp_objective
                 assert ring <= lp * (1 + 1e-12)
-                exact = bc.assignment_lp(centers, ps, bounds, 0.5, objective, region_cap=1)
-                assert exact.fallback
-                assert nearest_bound(nearest, schedule, squared, exact=True) <= exact.lp_objective * (1 + 1e-12)
 
 
 def test_level_ladders_from_one_radius_nest():
@@ -332,7 +353,7 @@ def test_shared_ring_bound_matches_nearest_bound():
                     reference = build_level_schedule(*extremes, epsilon)
                     assert np.array_equal(schedule.alphas, reference.alphas)
                     nearest = nearest_distances(rows, tup)
-                    assert rings.bound(tup) == nearest_bound(nearest, reference, squared, exact=False)
+                    assert rings.bound(tup) == nearest_bound(nearest, reference, squared)
             assert len(rings.digits) <= m * (m + 1) // 2
             assert all(row.min() == 0 for (s, c), row in rings.digits.items() if s == c)
             wide_rows += sum(row.dtype == np.uint16 for row in rings.digits.values())

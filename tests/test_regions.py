@@ -9,6 +9,7 @@ from balclust.regions import (
     build_level_schedule,
     coverage_region_counts,
     decode_level_keys,
+    level_codes_overflow,
 )
 from balclust.oracle import tight_line_fixture
 
@@ -195,3 +196,40 @@ def test_zero_distance_to_two_centers():
     regions = build_level_regions(np.array([[0.0, 0.0], [1.5, 2.0]]), schedule)
     lookup = {tuple(lev): cnt for lev, cnt in zip(regions.levels.tolist(), regions.counts.tolist())}
     assert lookup[(ZERO_LEVEL, ZERO_LEVEL)] == 1
+
+
+def test_level_codes_overflow_boundary():
+    # a one-rung ladder has base 2: codes of 63 columns reach 2^63 - 1 and
+    # still fit int64, codes of 64 columns do not
+    schedule = build_level_schedule(1.0, 1.0, 1.0)
+    assert not level_codes_overflow(schedule, 63)
+    assert level_codes_overflow(schedule, 64)
+    rng = np.random.default_rng(31)
+    for k in (63, 64):
+        table = rng.choice([0.0, 0.5, 1.0], size=(40, k))
+        table[0] = 1.0  # the largest code, (T + 2)^k - 1
+        regions = build_level_regions(table, schedule)
+        expected = (table > 0.0).astype(np.int64) - 1
+        for members, levels in zip(regions.members, regions.levels):
+            assert all(expected[i].tolist() == levels.tolist() for i in members)
+
+
+def test_level_regions_when_ring_codes_overflow_int64():
+    # at k = 6 and epsilon 1e-3 the ladder has 3,054 rungs, so the ring
+    # codes run up to 3,055^6 > 2^63; every member of a region must still
+    # carry exactly that region's levels
+    table = bc.distance_table(random_points(1, 30, 3), [0, 3, 7, 11, 19, 23])
+    schedule = build_level_schedule(*bc.extreme_distances(table), 1e-3)
+    assert schedule.alphas.size + 1 == 3055
+    expected = np.searchsorted(schedule.alphas, table, side="left")
+    expected[table == 0.0] = ZERO_LEVEL
+    regions = build_level_regions(table, schedule)
+    assert sorted(np.concatenate(regions.members).tolist()) == list(range(30))
+    assert regions.keys.tolist() == list(range(regions.num_regions))
+    assert len({tuple(lev) for lev in regions.levels.tolist()}) == regions.num_regions
+    for members, levels in zip(regions.members, regions.levels):
+        for i in members:
+            assert expected[i].tolist() == levels.tolist()
+    counts_only = build_level_regions(table, schedule, with_members=False)
+    assert counts_only.counts.tolist() == regions.counts.tolist()
+    assert np.array_equal(counts_only.levels, regions.levels)
