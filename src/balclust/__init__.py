@@ -2,8 +2,9 @@
 
 Solvers for the balanced k-center, k-median, and k-means problems in
 Euclidean or abstract metric spaces. Points are compressed into coverage or
-ring regions so that the per-tuple assignment work (a tiny max-flow or
-min-cost-flow) is independent of the number of points.
+ring regions so that the per-tuple assignment work (a count test on at most
+2^k coverage masks for k-center, a tiny min-cost flow for k-median/k-means)
+is independent of the number of points.
 """
 
 from .core import (

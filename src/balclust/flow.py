@@ -2,10 +2,12 @@
 
 Networks here have one supply node per nonempty region and k cluster nodes
 with demand L and capacity U, so graph sizes are independent of n. Node
-demands are removed with the standard super-source/super-sink reduction;
-max flow uses BFS augmenting paths and min-cost max flow uses successive
-shortest paths with potentials. All supplies and capacities are integers,
-so every returned flow is integral.
+demands are removed with the standard super-source/super-sink reduction,
+and one engine, successive shortest paths with potentials, solves every
+flow: min-cost max flow directly, and the feasibility question of
+``max_flow`` as a min-cost flow. All supplies and capacities are integers,
+so every returned flow is integral. k-center probes need no flow; they
+decide feasibility from mask counts (``kcenter.hall_feasible``).
 """
 
 from __future__ import annotations
@@ -205,44 +207,6 @@ def reduce_demands_to_capacities(net: FlowNetwork) -> ReducedInstance:
     )
 
 
-def _bfs_augment(g: _Graph, source: int, sink: int) -> int:
-    """One BFS augmentation; returns the pushed amount (0 when blocked)."""
-    parent_arc = [-1] * g.num_nodes
-    parent_arc[source] = -2
-    queue = [source]
-    while queue:
-        nxt = []
-        for u in queue:
-            for arc in g.adj[u]:
-                v = g.to[arc]
-                if parent_arc[v] == -1 and g.cap[arc] > 0:
-                    parent_arc[v] = arc
-                    if v == sink:
-                        queue = []
-                        nxt = []
-                        break
-                    nxt.append(v)
-            else:
-                continue
-            break
-        queue = nxt
-    if parent_arc[sink] == -1:
-        return 0
-    bottleneck = None
-    v = sink
-    while v != source:
-        arc = parent_arc[v]
-        bottleneck = g.cap[arc] if bottleneck is None else min(bottleneck, g.cap[arc])
-        v = g.to[arc ^ 1]
-    v = sink
-    while v != source:
-        arc = parent_arc[v]
-        g.cap[arc] -= bottleneck
-        g.cap[arc ^ 1] += bottleneck
-        v = g.to[arc ^ 1]
-    return bottleneck
-
-
 def _extract_solution(net: FlowNetwork, red: ReducedInstance) -> FlowSolution:
     g = red.graph
     flows = np.empty(net.num_edges)
@@ -256,17 +220,9 @@ def _extract_solution(net: FlowNetwork, red: ReducedInstance) -> FlowSolution:
 
 def max_flow(net: FlowNetwork) -> FlowSolution | None:
     """Feasible integral assignment flow of value n, or None when the
-    demands cannot be met."""
-    red = reduce_demands_to_capacities(net)
-    pushed = 0
-    while True:
-        amount = _bfs_augment(red.graph, red.source, red.sink)
-        if amount == 0:
-            break
-        pushed += amount
-    if pushed != red.required:
-        return None
-    return _extract_solution(net, red)
+    demands cannot be met. Any min-cost flow is feasible; on the zero-cost
+    coverage networks every feasible flow is a min-cost one."""
+    return min_cost_max_flow(net)
 
 
 def min_cost_max_flow(net: FlowNetwork) -> FlowSolution | None:

@@ -3,13 +3,17 @@ a binary-searched feasibility probe per center tuple.
 
 The optimal radius of any tuple is one of the point-to-candidate distances,
 and tuple feasibility is monotone in the radius, which licenses the binary
-search over the sorted, deduplicated ladder.
+search over the sorted, deduplicated ladder. A probe counts the points per
+coverage mask and decides feasibility by Hall's condition on those 2^k
+counts (``hall_feasible``); no flow runs until the winner's labels are
+needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .candidates import enumerate_tuples, gonzalez
 from .core import (
     BalanceBounds,
@@ -42,6 +46,30 @@ def check_feasible(table: np.ndarray, r: float, bounds: BalanceBounds) -> FlowSo
     keys, counts = counted
     net = coverage_network(keys, counts, table.shape[1], bounds.lower, bounds.upper)
     return max_flow(net)
+
+
+def hall_feasible(counts: np.ndarray, lower: int, upper: int) -> bool:
+    """Whether points counted per coverage mask (``counts[M]`` points may go
+    to exactly the clusters in bitmask M; length 2^k) can be split so that
+    every cluster gets between ``lower`` and ``upper`` of them.
+
+    Hall's condition for degree-constrained bipartite subgraphs: feasible iff
+    for every cluster set S the points whose mask lies inside S number at
+    most upper * |S|, and the points whose mask meets S number at least
+    lower * |S|. With f(S) the points whose mask lies inside S, the second
+    family, read at the complement of S, is f(S) <= n - lower * (k - |S|).
+    f is the subset-sum (zeta) transform of the counts, O(k 2^k). Points
+    counted at mask 0 fit no cluster and fail the check at S = {}.
+    """
+    k = counts.size.bit_length() - 1
+    inside = np.array(counts, dtype=np.int64)
+    size = np.zeros(counts.size, dtype=np.int64)
+    for j in range(k):
+        half = inside.reshape(-1, 2, 1 << j)
+        half[:, 1] += half[:, 0]
+        size[1 << j : 2 << j] = size[: 1 << j] + 1
+    n = inside[-1]
+    return bool(np.all(inside <= np.minimum(upper * size, n - lower * (k - size))))
 
 
 def expand_assignment(
@@ -86,11 +114,14 @@ def _search_tuples(table, ladder, tuple_list, bounds):
     the probe count and the number of tuples skipped; ties keep the earliest
     tuple.
 
-    Each binary search runs from the rung of r_cov = max_i min_j d(i, t_j),
-    the first ladder value whose containment threshold covers the tuple's
-    farthest point (every lower rung fails coverage under the same ``<=``
-    test that ``coverage_region_counts`` applies), up to one rung below the
-    best so far. A tuple whose r_cov rung is not below the best is skipped
+    A probe at rung r counts the points per coverage mask under the
+    threshold r * (1 + CONTAINMENT_SLACK) that ``check_feasible`` applies,
+    rejects r when a point is uncovered and otherwise asks ``hall_feasible``;
+    it agrees with ``check_feasible`` and builds no network. Each binary
+    search runs from the rung of r_cov = max_i min_j d(i, t_j), the first
+    ladder value whose threshold covers the tuple's farthest point (every
+    lower rung leaves that point uncovered), up to one rung below the best
+    so far. A tuple whose r_cov rung is not below the best is skipped
     without a probe or a column copy.
     """
     rows = np.ascontiguousarray(table.T)
@@ -108,7 +139,8 @@ def _search_tuples(table, ladder, tuple_list, bounds):
         while lo <= hi:
             mid = (lo + hi) // 2
             probes += 1
-            if check_feasible(cols, float(ladder[mid]), bounds) is not None:
+            counts, uncovered = kernels.coverage_counts(cols, thresholds[mid])
+            if not uncovered and hall_feasible(counts, bounds.lower, bounds.upper):
                 found = mid
                 hi = mid - 1
             else:
@@ -131,10 +163,13 @@ def solve_kbcenter(
 
     Candidate centers default to the k farthest-point seeds; every k-multiset
     of the candidates (``enumerate_tuples``) is binary-searched for its
-    smallest feasible radius, and the best tuple's flow is expanded to point
-    labels. Ties go to the earliest tuple. ``tuples`` replaces the searched
-    tuples (tuples of candidate positions, in any order); ``centers``
-    overrides the candidate set with explicit point indices.
+    smallest feasible radius. Each probe counts the points per coverage mask
+    and applies Hall's condition to the counts (``hall_feasible``), so no
+    probe runs a flow. Only the best tuple gets a flow network, whose
+    feasible flow is expanded to point labels. Ties go to the earliest
+    tuple. ``tuples`` replaces the searched tuples (tuples of candidate
+    positions, in any order); ``centers`` overrides the candidate set with
+    explicit point indices.
 
     A search starts at the rung of the radius that covers every point with
     its nearest center of the tuple, and a tuple whose rung is not below the

@@ -205,8 +205,8 @@ class _SharedRings:
         row = self.digits.get((source, t))
         if row is None:
             alphas = self.ladders[source][0]
-            codes = kernels.level_codes(self.rows[t][:, None], alphas)
-            row = self.digits[(source, t)] = codes.astype(np.min_scalar_type(alphas.size))
+            digits = kernels.level_digits(self.rows[t], alphas)
+            row = self.digits[(source, t)] = digits.astype(np.min_scalar_type(alphas.size))
         return row
 
     def bound(self, tup) -> float:

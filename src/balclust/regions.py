@@ -101,9 +101,9 @@ def build_coverage_regions(table: np.ndarray, r: float, with_members: bool = Tru
 
 
 def coverage_region_counts(table: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Counts-only fast path for feasibility probes: (keys, counts) or None
-    when some point is uncovered. Equivalent to build_coverage_regions up to
-    the omitted member lists."""
+    """Counts-only regions for ``kcenter.check_feasible``: (keys, counts) or
+    None when some point is uncovered. Equivalent to build_coverage_regions
+    up to the omitted member lists."""
     threshold = r * (1.0 + CONTAINMENT_SLACK)
     counts, uncovered = kernels.coverage_counts(table, threshold)
     if uncovered:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import balclust as bc
+from balclust import kernels
 from balclust.cli import run_scaling_bench
 from balclust.flow import FlowSolution, cluster_inflows, max_flow, min_cost_max_flow
+from balclust.kcenter import hall_feasible
 from balclust.oracle import (
     brute_force_optimum,
     exact_balanced_assignment,
@@ -261,6 +263,8 @@ def test_criterion_6_feasibility_oracle_agreement():
         allowed = table <= r * (1 + CONTAINMENT_SLACK)
         expected = exists_balanced_assignment(allowed, bounds.lower, bounds.upper)
         assert verdict == expected
+        counts, uncovered = kernels.coverage_counts(table, r * (1 + CONTAINMENT_SLACK))
+        assert (not uncovered and hall_feasible(counts, bounds.lower, bounds.upper)) == expected
         agreements += 1
     assert agreements >= 490
     print(f"\nACCEPTANCE 6 (feasibility oracle agreement, {agreements} probes): PASS")

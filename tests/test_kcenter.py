@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import balclust as bc
-from balclust.kcenter import radius_ladder
+from balclust import kernels
+from balclust.flow import coverage_network, max_flow
+from balclust.kcenter import hall_feasible, radius_ladder
 from balclust.oracle import (
     brute_force_optimum,
     exists_balanced_assignment,
@@ -303,3 +305,53 @@ def test_covering_rung_is_the_search_floor():
             if lo > 0:
                 assert bc.check_feasible(cols, float(ladder[lo - 1]), bounds) is None
             assert coverage_region_counts(cols, float(ladder[lo])) is not None
+
+
+def _mask_instance(rng, k, num_masks):
+    masks = rng.choice(np.arange(1, 1 << k), size=num_masks, replace=False)
+    keys = np.sort(masks).astype(np.int64)
+    supplies = rng.integers(1, 6, size=keys.size).astype(np.int64)
+    counts = np.zeros(1 << k, dtype=np.int64)
+    counts[keys] = supplies
+    return keys, supplies, counts
+
+
+def test_hall_condition_matches_max_flow():
+    # each region's edges are exactly the clusters in its mask, as in a
+    # coverage network; the mask-count check must agree with the flow
+    rng = np.random.default_rng(1600)
+    cases = []
+    for _ in range(1500):
+        k = int(rng.integers(1, 6))
+        keys, supplies, counts = _mask_instance(rng, k, int(rng.integers(1, (1 << k))))
+        n = int(supplies.sum())
+        lower = int(rng.integers(0, n // k + 2))
+        upper = int(rng.integers(max(lower, 1), n + 2))
+        cases.append((k, keys, supplies, counts, lower, upper))
+    for k, num_masks in ((1, 1), (3, 1), (4, 1), (3, 7), (5, 12)):
+        keys, supplies, counts = _mask_instance(rng, k, num_masks)
+        supplies[-1] += -int(supplies.sum()) % k  # make L k = n reachable
+        counts[keys[-1]] = supplies[-1]
+        n = int(supplies.sum())
+        cases.append((k, keys, supplies, counts, 0, n))  # L = 0, U = n
+        cases.append((k, keys, supplies, counts, n // k, n // k))  # L k = n = U k
+        cases.append((k, keys, supplies, counts, n // k, n))  # L k = n
+    verdicts = {True: 0, False: 0}
+    for k, keys, supplies, counts, lower, upper in cases:
+        expected = max_flow(coverage_network(keys, supplies, k, lower, upper)) is not None
+        assert hall_feasible(counts, lower, upper) == expected, (k, keys, supplies, lower, upper)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 300
+
+
+def test_hall_condition_rejects_uncovered_points():
+    # the probe rejects a radius that leaves a point uncovered before the
+    # Hall check; counted at mask 0, such a point also fails the check
+    table = np.array([[0.5, 3.0], [2.0, 0.4], [0.9, 1.1], [5.0, 6.0]])
+    bounds = bc.BalanceBounds(1, 4)
+    counts, uncovered = kernels.coverage_counts(table, 1.5)
+    assert uncovered == 1 and counts.tolist() == [0, 1, 1, 1]
+    assert bc.check_feasible(table, 1.5, bounds) is None
+    assert hall_feasible(counts, bounds.lower, bounds.upper)
+    counts[0] = uncovered
+    assert not hall_feasible(counts, bounds.lower, bounds.upper)
