@@ -36,7 +36,7 @@ from .candidates import (
 from .kcenter import check_feasible, expand_assignment, solve_kbcenter
 from .kmedian import AssignmentLPResult, assignment_lp, solve_balanced
 from .regions import LevelSchedule, RegionTable, build_coverage_regions, build_level_regions, build_level_schedule
-from .flow import FlowNetwork, FlowSolution, max_flow, min_cost_max_flow, reduce_demands_to_capacities
+from .flow import FlowNetwork, FlowSolution, max_flow, min_cost_max_flow
 from .rounding import round_to_integral
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "gonzalez",
     "max_flow",
     "min_cost_max_flow",
-    "reduce_demands_to_capacities",
     "round_to_integral",
     "solve_balanced",
     "solve_kbcenter",

@@ -299,5 +299,4 @@ class ClusteringResult:
     centers: np.ndarray
     assignment: BalancedAssignment
     value: float
-    center_coords: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)

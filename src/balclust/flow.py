@@ -1,18 +1,20 @@
 """Small bipartite flow engine for region-to-cluster assignment counts.
 
 Networks here have one supply node per nonempty region and k cluster nodes
-with demand L and capacity U, so graph sizes are independent of n. Node
-demands are removed with the standard super-source/super-sink reduction,
-and one engine, successive shortest paths with potentials, solves every
-flow: min-cost max flow directly, and the feasibility question of
-``max_flow`` as a min-cost flow. All supplies and capacities are integers,
-so every returned flow is integral. k-center probes need no flow; they
-decide feasibility from mask counts (``kcenter.hall_feasible``).
+with demand L and capacity U, so graph sizes are independent of n. One
+routine, successive shortest paths over the k clusters, solves every flow:
+regions start at their cheapest clusters, and flow then moves between
+clusters along cheapest exchange paths until every load lies in [L, U]
+(after Tokuyama & Nakano, "Efficient algorithms for the Hitchcock
+transportation problem", SIAM J. Comput. 24(3), 1995). ``max_flow`` asks the
+feasibility question as a min-cost flow. All supplies and bounds are
+integers and every move is a whole number of units, so every returned flow
+is integral. k-center probes need no flow; they decide feasibility from
+mask counts (``kcenter.hall_feasible``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,23 +77,18 @@ class FlowSolution:
 def coverage_network(keys: np.ndarray, counts: np.ndarray, k: int, lower: int, upper: int) -> FlowNetwork:
     """Zero-cost network from coverage bitmask regions: region -> cluster j
     edge exists iff bit j of the region's mask is set."""
-    er, ec = [], []
-    for r, mask in enumerate(keys):
-        m = int(mask)
-        if m == 0:
-            raise InputError("coverage region with empty mask")
-        for j in range(k):
-            if m >> j & 1:
-                er.append(r)
-                ec.append(j)
+    keys = np.asarray(keys, dtype=np.int64)
+    if np.any(keys == 0):
+        raise InputError("coverage region with empty mask")
+    er, ec = np.nonzero((keys[:, None] >> np.arange(k)) & 1)
     return FlowNetwork(
         supplies=np.asarray(counts, dtype=np.int64),
         k=k,
         lower=int(lower),
         upper=int(upper),
-        edge_region=np.asarray(er, dtype=np.int64),
-        edge_cluster=np.asarray(ec, dtype=np.int64),
-        edge_cost=np.zeros(len(er)),
+        edge_region=er.astype(np.int64),
+        edge_cluster=ec.astype(np.int64),
+        edge_cost=np.zeros(er.size),
     )
 
 
@@ -123,101 +120,6 @@ def level_network(
     )
 
 
-class _Graph:
-    """Adjacency-array residual graph; arc i and i^1 are mutual reverses."""
-
-    __slots__ = ("num_nodes", "to", "cap", "cost", "adj")
-
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-
-    def add(self, u: int, v: int, cap: int, cost: float = 0.0) -> int:
-        arc = len(self.to)
-        self.to.append(v)
-        self.cap.append(int(cap))
-        self.cost.append(float(cost))
-        self.adj[u].append(arc)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-float(cost))
-        self.adj[v].append(arc + 1)
-        return arc
-
-
-@dataclass
-class ReducedInstance:
-    """Standard max-flow instance equivalent to the demand-constrained
-    network: a max flow saturating ``required`` units from source to sink
-    corresponds one-to-one with a feasible flow of the original."""
-
-    graph: _Graph
-    source: int
-    sink: int
-    required: int
-    edge_arcs: np.ndarray  # arc id of each original region->cluster edge
-    cluster_demand_arcs: np.ndarray  # cluster -> aux sink arcs carrying L each
-
-
-def reduce_demands_to_capacities(net: FlowNetwork) -> ReducedInstance:
-    """Replace the cluster demand L with shifted capacities plus auxiliary
-    source/sink arcs.
-
-    Node layout: 0 aux source, 1 inner source, 2 inner sink, 3 aux sink,
-    then regions, then clusters. The region supply equalities become
-    aux-source arcs of capacity n_sig; each cluster's lower bound L moves to
-    a cluster -> aux-sink arc; the residual U - L stays on cluster -> inner
-    sink; a closing inner-sink -> inner-source arc makes it a circulation.
-    """
-    nr, k = net.num_regions, net.k
-    g = _Graph(4 + nr + k)
-    s_aux, s_in, t_in, t_aux = 0, 1, 2, 3
-    region0, cluster0 = 4, 4 + nr
-    n = net.total_supply
-
-    for r in range(nr):
-        g.add(s_aux, region0 + r, int(net.supplies[r]))
-    if net.lower > 0:
-        g.add(s_aux, t_in, net.lower * k)
-    g.add(s_in, t_aux, n)
-    g.add(t_in, s_in, n)
-
-    edge_arcs = np.empty(net.num_edges, dtype=np.int64)
-    for e in range(net.num_edges):
-        r = int(net.edge_region[e])
-        j = int(net.edge_cluster[e])
-        edge_arcs[e] = g.add(region0 + r, cluster0 + j, int(net.supplies[r]), float(net.edge_cost[e]))
-
-    demand_arcs = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        g.add(cluster0 + j, t_in, net.upper - net.lower)
-        demand_arcs[j] = g.add(cluster0 + j, t_aux, net.lower) if net.lower > 0 else -1
-
-    required = n + net.lower * k
-    return ReducedInstance(
-        graph=g,
-        source=s_aux,
-        sink=t_aux,
-        required=required,
-        edge_arcs=edge_arcs,
-        cluster_demand_arcs=demand_arcs,
-    )
-
-
-def _extract_solution(net: FlowNetwork, red: ReducedInstance) -> FlowSolution:
-    g = red.graph
-    flows = np.empty(net.num_edges)
-    for e in range(net.num_edges):
-        arc = int(red.edge_arcs[e])
-        flows[e] = g.cap[arc ^ 1]  # reverse capacity equals pushed flow
-    sol = FlowSolution(flows=flows, total=float(flows.sum()), cost=float(flows @ net.edge_cost))
-    validate_solution(net, sol)
-    return sol
-
-
 def max_flow(net: FlowNetwork) -> FlowSolution | None:
     """Feasible integral assignment flow of value n, or None when the
     demands cannot be met. Any min-cost flow is feasible; on the zero-cost
@@ -225,64 +127,109 @@ def max_flow(net: FlowNetwork) -> FlowSolution | None:
     return min_cost_max_flow(net)
 
 
-def min_cost_max_flow(net: FlowNetwork) -> FlowSolution | None:
-    """Minimum-cost feasible flow via successive shortest paths.
+def _exchange_paths(arc: list[float], k: int, tol: float) -> tuple[list, list]:
+    """All-pairs shortest paths of the k-node exchange graph whose arc
+    a -> b costs ``arc[a * k + b]``: distances and next hops (Floyd-Warshall).
 
-    Potentials keep reduced costs non-negative, so Dijkstra suffices after
-    the zero initialization (all arc costs are non-negative by construction).
-    """
-    red = reduce_demands_to_capacities(net)
-    g = red.graph
-    num = g.num_nodes
-    potential = [0.0] * num
-    pushed = 0
+    A relaxation must gain more than ``tol``: exchange cycles telescope to
+    zero in real arithmetic but to float dust here, and relaxing on dust
+    would leave a cycle in the next-hop table."""
     inf = float("inf")
-    while pushed < red.required:
-        dist = [inf] * num
-        parent_arc = [-1] * num
-        done = [False] * num
-        dist[red.source] = 0.0
-        heap = [(0.0, red.source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
+    dist = [arc[a * k : (a + 1) * k] for a in range(k)]
+    hop = [[b if d < inf else -1 for b, d in enumerate(row)] for row in dist]
+    for a in range(k):
+        dist[a][a] = 0.0
+        hop[a][a] = a
+    for m in range(k):
+        dm = dist[m]
+        for a in range(k):
+            dam = dist[a][m]
+            if dam == inf:
                 continue
-            done[u] = True
-            for arc in g.adj[u]:
-                if g.cap[arc] <= 0:
+            da, ha = dist[a], hop[a]
+            for b in range(k):
+                if dam + dm[b] < da[b] - tol:
+                    da[b] = dam + dm[b]
+                    ha[b] = ha[m]
+    if any(dist[a][a] < -tol for a in range(k)):
+        raise StructureError("negative exchange cycle: the flow is not minimum-cost")
+    return dist, hop
+
+
+def min_cost_max_flow(net: FlowNetwork) -> FlowSolution | None:
+    """Minimum-cost feasible flow by successive shortest paths over the k
+    clusters, or None when the bounds cannot be met.
+
+    Every region starts at its cheapest cluster (lowest index on ties), the
+    minimum-cost flow for the loads it gives. Moving a unit of region r from
+    cluster a to b costs c[r, b] - c[r, a], so the exchange arc a -> b costs
+    the least such step over the regions with flow at a. While a cluster
+    lies outside [L, U], flow moves along the cheapest exchange path that
+    mends a violated cluster at both ends, else at one end; then along any
+    path of negative cost. Shortest paths keep the flow minimum-cost for its
+    loads, and once no negative path from a cluster above L to one below U
+    remains it is optimal. A violated cluster with no such path proves the
+    bounds infeasible (Hall's condition fails on the clusters it reaches).
+    """
+    nr, k, lower, upper = net.num_regions, net.k, net.lower, net.upper
+    cost = np.full((nr, k), np.inf)
+    cost[net.edge_region, net.edge_cluster] = net.edge_cost
+    admissible = np.isfinite(cost)
+    if not admissible.any(axis=1).all():
+        return None
+    x = np.zeros((nr, k), dtype=np.int64)
+    x[np.arange(nr), np.argmin(cost, axis=1)] = net.supplies
+    loads = x.sum(axis=0).tolist()
+    tol = COST_TOL * max(1.0, float(net.edge_cost.max(initial=0.0)))
+    inf = float("inf")
+    # step[r, a*k + b]: cost of moving one unit of r from a to b. Region r
+    # never has flow at a cluster it has no edge to, so those entries are
+    # never live; they subtract 0 instead of inf, so inf - inf never occurs.
+    step = (cost[:, None, :] - np.where(admissible, cost, 0.0)[:, :, None]).reshape(nr, k * k)
+    live = np.where(np.repeat(x > 0, k, axis=1), step, inf)
+    while True:
+        dist, hop = _exchange_paths(live.min(axis=0, initial=inf).tolist(), k, tol)
+        best = None
+        for a in range(k):
+            if loads[a] <= lower:
+                continue
+            for b in range(k):
+                if b == a or loads[b] >= upper or dist[a][b] == inf:
                     continue
-                v = g.to[arc]
-                if done[v]:
-                    continue
-                # Residual arcs have non-negative reduced cost up to float
-                # noise; clamping keeps Dijkstra's settled-node invariant.
-                rc = g.cost[arc] + potential[u] - potential[v]
-                if rc < 0.0:
-                    rc = 0.0
-                nd = d + rc
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent_arc[v] = arc
-                    heapq.heappush(heap, (nd, v))
-        if dist[red.sink] == inf:
-            return None
-        for v in range(num):
-            if dist[v] < inf:
-                potential[v] += dist[v]
-        bottleneck = red.required - pushed
-        v = red.sink
-        while v != red.source:
-            arc = parent_arc[v]
-            bottleneck = min(bottleneck, g.cap[arc])
-            v = g.to[arc ^ 1]
-        v = red.sink
-        while v != red.source:
-            arc = parent_arc[v]
-            g.cap[arc] -= bottleneck
-            g.cap[arc ^ 1] += bottleneck
-            v = g.to[arc ^ 1]
-        pushed += bottleneck
-    return _extract_solution(net, red)
+                key = (-(loads[a] > upper) - (loads[b] < lower), dist[a][b])
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        if best is None or best[0][0] == 0:
+            if any(load < lower or load > upper for load in loads):
+                return None
+            if best is None or best[0][1] >= -tol:
+                break
+        _, a, b = best
+        amount = min(
+            loads[a] - (upper if loads[a] > upper else lower),
+            (lower if loads[b] < lower else upper) - loads[b],
+        )
+        path = []
+        u = a
+        while u != b:
+            if len(path) >= k:
+                raise StructureError("exchange path does not reach its end")
+            v = hop[u][b]
+            r = int(live[:, u * k + v].argmin())
+            amount = min(amount, int(x[r, u]))
+            path.append((r, u, v))
+            u = v
+        for r, u, v in path:
+            x[r, u] -= amount
+            x[r, v] += amount
+        loads[a] -= amount
+        loads[b] += amount
+        rows = [r for r, _, _ in path]
+        live[rows] = np.where(np.repeat(x[rows] > 0, k, axis=1), step[rows], inf)
+    flows = x[net.edge_region, net.edge_cluster].astype(np.float64)
+    sol = FlowSolution(flows=flows, total=float(flows.sum()), cost=float(flows @ net.edge_cost))
+    validate_solution(net, sol)
+    return sol
 
 
 def validate_solution(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9) -> None:

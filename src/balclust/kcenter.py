@@ -226,7 +226,7 @@ def solve_kbcenter(
     ladder_idx, order, tup = best
     search_radius = float(ladder[ladder_idx])
     cols = np.ascontiguousarray(table[:, tup])
-    regions = build_coverage_regions(cols, search_radius, with_members=True)
+    regions = build_coverage_regions(cols, search_radius)
     if regions is None:
         raise StructureError("winning radius failed region construction")
     net = coverage_network(regions.keys, regions.counts, k, bounds.lower, bounds.upper)

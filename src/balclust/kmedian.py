@@ -33,7 +33,7 @@ from .core import (
     extreme_distances,
     round_robin_assignment,
 )
-from .flow import FlowSolution, level_network, min_cost_max_flow
+from .flow import level_network, min_cost_max_flow
 from .kcenter import expand_assignment
 from .regions import LevelSchedule, build_level_regions, build_level_schedule, level_codes_overflow
 from .rounding import round_to_integral
@@ -46,7 +46,6 @@ class AssignmentLPResult:
     lp_objective: float
     true_cost: float
     assignment: BalancedAssignment | None
-    region_flows: FlowSolution | None = None
     degenerate: bool = False
 
 
@@ -82,9 +81,7 @@ def _lp_from_columns(
     if sol is None:
         raise StructureError("level network infeasible despite validated bounds")
     if not with_assignment:
-        return AssignmentLPResult(
-            lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None, region_flows=sol
-        )
+        return AssignmentLPResult(lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None)
     sol = round_to_integral(sol, net, mode="min-cost")
     assignment = expand_assignment(sol, net, regions, bounds)
     per_point = cols[np.arange(n), assignment.labels]
@@ -95,7 +92,6 @@ def _lp_from_columns(
         lp_objective=float(sol.cost),
         true_cost=true_cost,
         assignment=assignment,
-        region_flows=sol,
     )
 
 

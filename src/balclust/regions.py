@@ -75,7 +75,7 @@ def _group_by_code(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     return keys, counts.astype(np.int64), members
 
 
-def build_coverage_regions(table: np.ndarray, r: float, with_members: bool = True) -> RegionTable | None:
+def build_coverage_regions(table: np.ndarray, r: float) -> RegionTable | None:
     """Group points by the set of balls of radius r that contain them.
 
     Returns None as soon as any point lies outside all k balls (the radius is
@@ -91,12 +91,7 @@ def build_coverage_regions(table: np.ndarray, r: float, with_members: bool = Tru
     masks = kernels.coverage_masks(table, threshold)
     if np.any(masks == 0):
         return None
-    if with_members:
-        keys, counts, members = _group_by_code(masks)
-    else:
-        keys, counts = np.unique(masks, return_counts=True)
-        counts = counts.astype(np.int64)
-        members = None
+    keys, counts, members = _group_by_code(masks)
     return RegionTable(kind="coverage", k=k, keys=keys, counts=counts, members=members)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import balclust as bc
 from balclust.flow import (
@@ -8,7 +9,6 @@ from balclust.flow import (
     level_network,
     max_flow,
     min_cost_max_flow,
-    reduce_demands_to_capacities,
     residual_has_negative_cycle,
     validate_solution,
 )
@@ -44,23 +44,6 @@ def allowed_matrix(net):
         for _ in range(int(net.supplies[r])):
             rows.append(row)
     return np.array(rows)
-
-
-def test_reduction_single_path():
-    net = make_net([4], 1, 4, 4, [(0, 0)])
-    red = reduce_demands_to_capacities(net)
-    assert red.required == 4 + 4
-    sol = max_flow(net)
-    assert sol is not None and sol.total == 4
-
-
-def test_reduction_without_lower_bounds():
-    net = make_net([2, 1], 2, 0, 3, [(0, 0), (0, 1), (1, 1)])
-    red = reduce_demands_to_capacities(net)
-    assert red.required == 3  # no demand arcs when L = 0
-    assert all(a == -1 for a in red.cluster_demand_arcs)
-    sol = max_flow(net)
-    assert sol is not None and sol.total == 3
 
 
 def test_feasibility_matches_enumeration():
@@ -174,3 +157,118 @@ def test_network_validation():
         make_net([1], 1, 2, 1, [(0, 0)])  # lower > upper
     with pytest.raises(bc.InputError):
         make_net([1], 1, 0, 1, [(0, 0)], costs=[-1.0])
+
+
+def transport_lp(net):
+    """Region-level transportation LP of the network, independent of the
+    flow engine: (feasible, optimal cost)."""
+    m = net.num_edges
+    a_eq = np.zeros((net.num_regions, m))
+    a_eq[net.edge_region, np.arange(m)] = 1.0
+    inflow = np.zeros((net.k, m))
+    inflow[net.edge_cluster, np.arange(m)] = 1.0
+    res = linprog(
+        net.edge_cost,
+        A_ub=np.vstack([inflow, -inflow]),
+        b_ub=np.concatenate([np.full(net.k, net.upper), np.full(net.k, -net.lower)]),
+        A_eq=a_eq,
+        b_eq=net.supplies,
+        bounds=(0, None),
+        method="highs",
+    )
+    return res.status == 0, res.fun
+
+
+def random_net(rng, k, nr, complete, cost_kind):
+    supplies = rng.integers(1, 6, size=nr)
+    edges = []
+    for r in range(nr):
+        incident = range(k) if complete else sorted(rng.permutation(k)[: int(rng.integers(1, k + 1))])
+        edges.extend((r, int(j)) for j in incident)
+    if cost_kind == "zero":
+        costs = np.zeros(len(edges))
+    elif cost_kind == "discrete":
+        costs = rng.integers(0, 4, size=len(edges)).astype(np.float64)
+    else:
+        costs = rng.uniform(0, 5, size=len(edges))
+    n = int(supplies.sum())
+    lower = int(rng.integers(0, min(n, n // k + 1) + 1))
+    upper = int(rng.integers(max(1, lower), n + 1))
+    return make_net(supplies, k, lower, upper, edges, costs)
+
+
+def assert_matches_lp(net):
+    feasible, lp_cost = transport_lp(net)
+    sol = min_cost_max_flow(net)
+    assert (sol is not None) == feasible
+    if sol is None:
+        return False
+    assert sol.cost == pytest.approx(lp_cost, rel=1e-9, abs=1e-9)
+    assert sol.is_integral()
+    validate_solution(net, sol)
+    assert not residual_has_negative_cycle(net, sol)
+    return True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. inf - inf of two missing edges
+def test_min_cost_matches_transportation_lp():
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for i in range(240):
+        k = int(rng.integers(1, 7))
+        nr = int(rng.integers(100, 201)) if i % 20 == 0 else int(rng.integers(1, 30))
+        net = random_net(rng, k, nr, complete=i % 2 == 0, cost_kind=("zero", "discrete", "continuous")[i % 3])
+        verdicts.append(assert_matches_lp(net))
+    assert 20 < sum(verdicts) < len(verdicts) - 20  # both verdicts occur
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_cost_edge_cases_match_transportation_lp():
+    rng = np.random.default_rng(18)
+    for i in range(30):
+        kind = ("zero", "discrete", "continuous")[i % 3]
+        k = int(rng.integers(1, 7))
+        # L = 0 and U = n: every region stays at its cheapest cluster
+        net = random_net(rng, k, 12, complete=False, cost_kind=kind)
+        edges = list(zip(net.edge_region.tolist(), net.edge_cluster.tolist()))
+        assert assert_matches_lp(make_net(net.supplies, k, 0, net.total_supply, edges, net.edge_cost))
+        # one cluster, with bounds around n
+        net = random_net(rng, 1, 5, complete=True, cost_kind=kind)
+        n = net.total_supply
+        for lower, upper in ((n, n), (0, n - 1), (n + 1, n + 2)):
+            one = make_net(net.supplies, 1, lower, upper, [(r, 0) for r in range(5)], net.edge_cost)
+            assert assert_matches_lp(one) == (lower <= n <= upper)
+        # a single region
+        net = random_net(rng, k, 1, complete=True, cost_kind=kind)
+        assert_matches_lp(net)
+    # infeasible bounds: too little room, too much demand, unreachable cluster
+    assert not assert_matches_lp(make_net([5, 4], 2, 0, 4, [(0, 0), (0, 1), (1, 1)]))
+    assert not assert_matches_lp(make_net([5, 4], 3, 4, 9, [(0, 0), (0, 1), (1, 1), (1, 2)]))
+    assert not assert_matches_lp(make_net([3, 3], 3, 1, 6, [(0, 0), (1, 0), (1, 1)], [0.0, 1.0, 0.0]))
+
+
+def test_min_cost_region_spread_over_three_clusters():
+    """One region split over three clusters gives exchange cycles whose
+    costs telescope to zero but sum to float dust, such as
+    (0.2 - 0.1) + (0.3 - 0.2) + (0.1 - 0.3); they must neither count as
+    negative cycles nor send the path walk round in a loop."""
+    costs = [0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.3, 0.1, 0.2]
+    edges = [(r, j) for r in range(3) for j in range(3)]
+    for lower, upper in ((4, 4), (3, 6), (0, 4), (2, 5)):
+        assert assert_matches_lp(make_net([6, 3, 3], 3, lower, upper, edges, costs))
+    net = make_net([12], 4, 3, 3, [(0, j) for j in range(4)], [0.1, 0.2, 0.3, 0.7])
+    sol = min_cost_max_flow(net)
+    assert sol.flows.tolist() == [3.0, 3.0, 3.0, 3.0]
+    assert sol.cost == pytest.approx(3 * (0.1 + 0.2 + 0.3 + 0.7))
+
+
+def test_min_cost_moves_along_negative_path_once_bounds_hold():
+    """Mending both violated clusters at once leaves a negative exchange
+    path between clusters inside their bounds; the flow must follow it."""
+    costs = [0.0, 2.0, 8.0, 0.0, 4.0, 3.0, 0.0, 8.0, 5.0, 1.0, 1.0, 8.0]
+    edges = [(r, j) for r in range(3) for j in range(4)]
+    net = make_net([2, 1, 3], 4, 1, 2, edges, costs)
+    feasible, best_cost, _ = enumerate_network_optimum(net)
+    sol = min_cost_max_flow(net)
+    assert feasible and sol.cost == pytest.approx(best_cost) == 3.0
+    assert not residual_has_negative_cycle(net, sol)
