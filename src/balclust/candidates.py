@@ -64,6 +64,41 @@ def gonzalez(source, k: int, first_index: int | None = 0, seed: int | None = Non
     return SeedSequence(indices=idx, first_index=int(first_index), next_min_distance=float(mind.max()))
 
 
+def _bicriteria_sample(
+    source, k: int, seed: int, objective: str, oversample: int
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """``bicriteria_centers`` plus the chosen centers' distance rows: an
+    (m, n) C-contiguous array whose row i holds the distances from every
+    point to center i, written as each center is drawn."""
+    oracle = as_oracle(source)
+    n = oracle.n
+    if k > n:
+        raise InputError(f"need k <= n, got k={k}, n={n}")
+    target = max(k, min(n, oversample * k))
+    rng = np.random.default_rng(seed)
+    power = 2 if objective == "means" else 1
+
+    rows = np.empty((target, n))
+    first = int(rng.integers(n))
+    chosen = [first]
+    rows[0] = oracle.columns([first])[:, 0]
+    mind = rows[0].copy()
+    while len(chosen) < target:
+        weights = mind**power
+        total = float(weights.sum())
+        if total <= 0.0:
+            break
+        nxt = int(rng.choice(n, p=weights / total))
+        rows[len(chosen)] = oracle.columns([nxt])[:, 0]
+        np.minimum(mind, rows[len(chosen)], out=mind)
+        chosen.append(nxt)
+    while len(chosen) < k:  # fewer distinct locations than k: pad with repeats
+        rows[len(chosen)] = rows[0]
+        chosen.append(chosen[0])
+    cost = float((mind**power).sum())
+    return np.asarray(chosen, dtype=np.int64), cost, rows[: len(chosen)]
+
+
 def bicriteria_centers(
     source,
     k: int,
@@ -79,29 +114,8 @@ def bicriteria_centers(
     the final set (diagnostic). Sampling stops early once every point
     coincides with a chosen center; the result always has at least k entries.
     """
-    oracle = as_oracle(source)
-    n = oracle.n
-    if k > n:
-        raise InputError(f"need k <= n, got k={k}, n={n}")
-    target = max(k, min(n, oversample * k))
-    rng = np.random.default_rng(seed)
-    power = 2 if objective == "means" else 1
-
-    first = int(rng.integers(n))
-    chosen = [first]
-    mind = oracle.columns([first])[:, 0].copy()
-    while len(chosen) < target:
-        weights = mind**power
-        total = float(weights.sum())
-        if total <= 0.0:
-            break
-        nxt = int(rng.choice(n, p=weights / total))
-        chosen.append(nxt)
-        np.minimum(mind, oracle.columns([nxt])[:, 0], out=mind)
-    while len(chosen) < k:  # fewer distinct locations than k: pad with repeats
-        chosen.append(chosen[0])
-    cost = float((mind**power).sum())
-    return np.asarray(chosen, dtype=np.int64), cost
+    centers, cost, _ = _bicriteria_sample(source, k, seed, objective, oversample)
+    return centers, cost
 
 
 def enumerate_tuples(candidates, k: int) -> list[tuple[int, ...]]:
@@ -156,8 +170,19 @@ class BicriteriaGenerator(CandidateGenerator):
         self.seed = int(seed)
         self.oversample = int(oversample)
         self.last_cost: float | None = None
+        self._sample: tuple[np.ndarray, np.ndarray] | None = None
 
     def generate(self, source, k: int, objective: str) -> np.ndarray:
-        centers, cost = bicriteria_centers(source, k, self.seed, objective, self.oversample)
+        centers, cost, rows = _bicriteria_sample(source, k, self.seed, objective, self.oversample)
         self.last_cost = cost
+        self._sample = (centers, rows)
         return centers
+
+    def take_rows(self, centers: np.ndarray) -> np.ndarray | None:
+        """The (m, n) distance rows that the last ``generate`` computed, if
+        it returned ``centers``; None otherwise. The generator lets go of
+        them, so they are handed out at most once."""
+        sample, self._sample = self._sample, None
+        if sample is None or not np.array_equal(sample[0], centers):
+            return None
+        return sample[1]

@@ -6,6 +6,7 @@ these objects.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -287,6 +288,25 @@ def evaluate_objective(
     if not np.isfinite(value) or value < 0:
         raise StructureError(f"objective evaluated to invalid value {value}")
     return value
+
+
+#: Phases of a solve, in order, as ``diagnostics["timings"]`` names them.
+PHASES = ("candidates", "columns", "sweep", "winner", "rounding", "evaluation")
+
+
+class PhaseClock:
+    """Wall seconds per solve phase. ``lap(phase)`` charges the time since
+    the previous lap (or since the clock started) to ``phase``, so the
+    phases never add up to more than the solve took."""
+
+    def __init__(self):
+        self.timings = dict.fromkeys(PHASES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.timings[phase] += now - self._last
+        self._last = now
 
 
 @dataclass

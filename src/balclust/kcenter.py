@@ -20,6 +20,7 @@ from .core import (
     BalancedAssignment,
     ClusteringResult,
     InputError,
+    PhaseClock,
     StructureError,
     as_oracle,
     evaluate_objective,
@@ -176,11 +177,13 @@ def solve_kbcenter(
     best so far is skipped unprobed (``_search_tuples``); neither step can
     change the result. ``diagnostics`` counts the swept tuples
     (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the
-    feasibility probes (``probes``).
+    feasibility probes (``probes``), and ``diagnostics["timings"]`` holds
+    the wall seconds of each phase (``core.PHASES``).
     """
     oracle = as_oracle(source)
     n = oracle.n
     bounds.validate(n, k)
+    clock = PhaseClock()
     if centers is None:
         seeds = gonzalez(oracle, k, first_index, seed=seed)
         candidate_idx = seeds.indices
@@ -198,16 +201,20 @@ def solve_kbcenter(
                 raise InputError(f"tuple {tup} is not a valid k-tuple of candidate positions")
         if not tuple_list:
             raise InputError("empty tuple list")
+    clock.lap("candidates")
     table = oracle.columns(candidate_idx)
+    clock.lap("columns")
     ladder = radius_ladder(table)
     diagnostics: dict = {
         "candidates": candidate_idx.tolist(),
         "ladder_size": int(ladder.size),
+        "timings": clock.timings,
     }
 
     if ladder[-1] <= 0.0:
         # All candidate distances are zero: any balanced split costs zero.
         assignment = round_robin_assignment(n, k, bounds)
+        clock.lap("rounding")
         chosen = candidate_idx[np.zeros(k, dtype=np.int64)]
         diagnostics.update({"degenerate": True, "tuples_evaluated": 0, "tuples_pruned": 0, "probes": 0})
         return ClusteringResult(
@@ -221,6 +228,7 @@ def solve_kbcenter(
         )
 
     best, probes, pruned = _search_tuples(table, ladder, tuple_list, bounds)
+    clock.lap("sweep")
     if best is None:
         raise StructureError("no feasible radius found despite validated bounds")
     ladder_idx, order, tup = best
@@ -233,10 +241,13 @@ def solve_kbcenter(
     solution = max_flow(net)
     if solution is None:
         raise StructureError("winning radius failed the feasibility re-solve")
+    clock.lap("winner")
     solution = round_to_integral(solution, net, mode="feasibility")
     assignment = expand_assignment(solution, net, regions, bounds)
+    clock.lap("rounding")
     chosen = candidate_idx[list(tup)]
     value = evaluate_objective(assignment, chosen, oracle, "center")
+    clock.lap("evaluation")
     diagnostics.update(
         {
             "tuples_evaluated": len(tuple_list),

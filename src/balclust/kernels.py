@@ -1,6 +1,11 @@
 """Hot numeric kernels in numpy: distance columns, coverage masks, ring codes
 and farthest-point order.
 
+Ring digits come in the narrowest unsigned type that holds the ladder's
+digits. A ladder of at most ``COUNT_RUNGS`` rungs is coded by counting the
+rungs below each distance, one comparison pass per rung; a longer ladder is
+binary-searched with ``np.searchsorted``. Both give the same digits.
+
 Callers look each kernel up as ``kernels.<fn>`` at call time, so a kernel can
 be wrapped (for timing, say) by rebinding the module attribute.
 """
@@ -63,11 +68,33 @@ def coverage_counts(cols: np.ndarray, threshold: float) -> tuple[np.ndarray, int
 # alpha_t >= distance).
 
 
+#: Longest ladder, in rungs, whose digits are counted rung by rung. Counting
+#: is one comparison pass per rung, searching one binary search per value.
+#: On one row (2-vCPU Xeon, numpy 2.4) counting wins up to 4 rungs at
+#: n = 600 (12 against 14 us) and through 34 rungs at n = 100,000 (4 rungs:
+#: 0.10 against 1.5 ms; 34 rungs: 0.9 against 3.2 ms). At n = 600 the
+#: search leads by 1.7x at 8 rungs and by 4x at 34, where a near-duplicate
+#: pair puts its ladders.
+COUNT_RUNGS = 8
+
+
 def level_digits(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Ring digit per point and center (0 = exact hit on the center)."""
+    """Ring digit per point and center (0 = exact hit on the center), in the
+    narrowest unsigned type that holds ``alphas.size``.
+
+    The digit of a positive distance x is min(searchsorted(alphas, x,
+    "left"), T) + 1: one plus the number of rungs among alphas[:-1] below x.
+    """
+    dtype = np.min_scalar_type(alphas.size)
+    if alphas.size <= COUNT_RUNGS:
+        digits = (cols > 0.0).astype(dtype)
+        for alpha in alphas[:-1].tolist():
+            digits += cols > alpha
+        return digits
     lev = np.searchsorted(alphas, cols, side="left")
     np.minimum(lev, alphas.size - 1, out=lev)
-    digits = (lev + 1).astype(np.int64)
+    lev += 1
+    digits = lev.astype(dtype)
     digits[cols == 0.0] = 0
     return digits
 
@@ -76,7 +103,7 @@ def level_codes(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Mixed-radix ring code per point; wraps once (T + 2)^k exceeds 2^63."""
     base = np.int64(alphas.size + 1)
     weights = base ** np.arange(cols.shape[1], dtype=np.int64)
-    return level_digits(cols, alphas) @ weights
+    return level_digits(cols, alphas).astype(np.int64) @ weights
 
 
 # ------------------------------------------------- farthest-point traversal

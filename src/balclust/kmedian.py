@@ -25,6 +25,7 @@ from .core import (
     BalancedAssignment,
     ClusteringResult,
     InputError,
+    PhaseClock,
     StructureError,
     as_oracle,
     check_objective,
@@ -61,13 +62,15 @@ def _lp_from_columns(
     bounds: BalanceBounds,
     objective: str,
     with_assignment: bool = True,
+    clock: PhaseClock | None = None,
 ) -> AssignmentLPResult:
     """Assignment LP of the tuple behind ``cols`` under its ring ``schedule``
     (``_schedule`` of the columns' extreme distances).
 
     ``with_assignment=False`` skips member bookkeeping and expansion; the
     tuple sweep uses it to rank tuples by lp_objective alone and re-solves
-    only the winner in full."""
+    only the winner in full. A ``clock`` is charged the flow as ``winner``
+    and the rounding and expansion as ``rounding``."""
     n, k = cols.shape
     squared = objective == "means"
     if schedule is None:
@@ -82,12 +85,16 @@ def _lp_from_columns(
         raise StructureError("level network infeasible despite validated bounds")
     if not with_assignment:
         return AssignmentLPResult(lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None)
+    if clock is not None:
+        clock.lap("winner")
     sol = round_to_integral(sol, net, mode="min-cost")
     assignment = expand_assignment(sol, net, regions, bounds)
     per_point = cols[np.arange(n), assignment.labels]
     if squared:
         per_point = per_point**2
     true_cost = float(per_point.sum())
+    if clock is not None:
+        clock.lap("rounding")
     return AssignmentLPResult(
         lp_objective=float(sol.cost),
         true_cost=true_cost,
@@ -157,7 +164,7 @@ def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool) -
 class _SharedRings:
     """Ring schedules and ring digits of one sweep, shared across tuples.
 
-    ``rows`` is the candidate table transposed to C-contiguous (m, n) rows.
+    ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
     A tuple's ladder is r_min * (1 + epsilon)^t, where r_min is the smallest
     positive distance of its *source*: the member with the smallest
     ``col_min`` (ties to the lowest position). Every ladder from one source
@@ -171,7 +178,9 @@ class _SharedRings:
     per source, one digit row per (source, candidate) pair (n uint8 values,
     wider once the ladder passes 255 rungs; at most m(m+1)/2 rows, since a
     source never has a larger ``col_min`` than its members) and one
-    schedule per (r_min, r_max).
+    schedule per (r_min, r_max). ``kernels.level_digits`` codes a row by
+    counting rungs when the long ladder is short (``kernels.COUNT_RUNGS``)
+    and by binary search otherwise.
     """
 
     def __init__(self, rows: np.ndarray, epsilon: float, squared: bool):
@@ -200,9 +209,7 @@ class _SharedRings:
             self.ladders[source] = (long.alphas, long.ring_costs(self.squared))
         row = self.digits.get((source, t))
         if row is None:
-            alphas = self.ladders[source][0]
-            digits = kernels.level_digits(self.rows[t], alphas)
-            row = self.digits[(source, t)] = digits.astype(np.min_scalar_type(alphas.size))
+            row = self.digits[(source, t)] = kernels.level_digits(self.rows[t], self.ladders[source][0])
         return row
 
     def bound(self, tup) -> float:
@@ -215,7 +222,12 @@ class _SharedRings:
         return float(self.ladders[source][1][nearest].sum())
 
 
-def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective):
+def _tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
+    """C-contiguous (n, k) distance columns of a tuple's centers."""
+    return np.ascontiguousarray(rows[list(tup)].T)
+
+
+def _evaluate_tuples(rows, tuple_list, bounds, epsilon, objective):
     """Smallest ((lp_objective, order), tuple) over ``tuple_list``, plus the
     counters ``fallbacks`` (flows whose regions were grouped by digit rows
     because their ring codes would overflow int64), ``degenerate`` and
@@ -228,10 +240,10 @@ def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective):
     first bounded by the ring cost of its nearest-center assignment with the
     size bounds dropped (``_SharedRings.bound``). When the bound exceeds the
     incumbent by more than the ``_improves`` tolerance the tuple cannot win,
-    not even a tie, and is skipped before its columns are copied.
+    not even a tie, and is skipped before its columns are copied. ``rows``
+    holds the candidates' distances as C-contiguous (m, n) rows.
     """
     squared = objective == "means"
-    rows = np.ascontiguousarray(table.T)
     rings = _SharedRings(rows, epsilon, squared)
     best = None
     stats = {"fallbacks": 0, "degenerate": 0, "pruned": 0}
@@ -243,7 +255,7 @@ def _evaluate_tuples(table, tuple_list, bounds, epsilon, objective):
             if bound > best_lp + _tie_tolerance(bound, best_lp):
                 stats["pruned"] += 1
                 continue
-        cols = np.ascontiguousarray(table[:, tup])
+        cols = _tuple_columns(rows, tup)
         res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=False)
         stats["fallbacks"] += int(schedule is not None and level_codes_overflow(schedule, len(tup)))
         stats["degenerate"] += int(res.degenerate)
@@ -278,6 +290,13 @@ def solve_balanced(
     counts the work the sweep shared across multisets: ``digit_rows``, the
     ring digit rows built (one per source and candidate pair), and
     ``schedules``, the ring schedules built (one per distinct (r_min, r_max)).
+    ``diagnostics["timings"]`` holds the wall seconds of each phase
+    (``core.PHASES``).
+
+    The default bicriteria generator hands over the distance rows it
+    computed while sampling (``BicriteriaGenerator.take_rows``), so each
+    candidate column is computed once; other generators' candidates get
+    their columns from one ``oracle.columns`` call.
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -292,21 +311,29 @@ def solve_balanced(
     bounds.validate(n, k)
     if generator is None:
         generator = BicriteriaGenerator(seed=seed)
+    clock = PhaseClock()
     candidate_idx = np.asarray(generator.generate(oracle, k, objective), dtype=np.int64)
     if candidate_idx.size < 1:
         raise InputError("candidate generator produced no centers")
     tuple_list = enumerate_tuples(int(candidate_idx.size), k)
-    table = oracle.columns(candidate_idx)
-    best, stats = _evaluate_tuples(table, tuple_list, bounds, epsilon, objective)
+    clock.lap("candidates")
+    rows = generator.take_rows(candidate_idx) if isinstance(generator, BicriteriaGenerator) else None
+    if rows is None:
+        rows = np.ascontiguousarray(oracle.columns(candidate_idx).T)
+    clock.lap("columns")
+    best, stats = _evaluate_tuples(rows, tuple_list, bounds, epsilon, objective)
+    clock.lap("sweep")
 
     (lp_objective, order), tup = best
-    cols = np.ascontiguousarray(table[:, tup])
+    cols = _tuple_columns(rows, tup)
     schedule = _schedule(extreme_distances(cols), epsilon)
-    res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=True)
+    res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=True, clock=clock)
+    clock.lap("winner")  # a degenerate winner runs no flow: its split counts here
     if abs(res.lp_objective - lp_objective) > 1e-9 * max(1.0, abs(lp_objective)):
         raise StructureError("winning tuple re-solve disagrees with the sweep")
     chosen = candidate_idx[list(tup)]
     value = evaluate_objective(res.assignment, chosen, oracle, objective)
+    clock.lap("evaluation")
     if abs(value - res.true_cost) > 1e-9 * max(1.0, abs(value)):
         raise StructureError("reported cost disagrees with independent recomputation")
     diagnostics = {
@@ -321,6 +348,7 @@ def solve_balanced(
         "fallbacks": stats["fallbacks"],
         "degenerate_tuples": stats["degenerate"],
         "work": stats["work"],
+        "timings": clock.timings,
     }
     if isinstance(generator, BicriteriaGenerator) and generator.last_cost is not None:
         diagnostics["unconstrained_candidate_cost"] = generator.last_cost

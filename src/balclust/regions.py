@@ -161,7 +161,7 @@ def build_level_regions(table: np.ndarray, schedule: LevelSchedule, with_members
         keys, counts = np.unique(codes, return_counts=True)
         counts = counts.astype(np.int64)
         members = None
-    levels = rows - 1 if overflow else decode_level_keys(keys, k, schedule)
+    levels = rows.astype(np.int64) - 1 if overflow else decode_level_keys(keys, k, schedule)
     return RegionTable(kind="level", k=k, keys=keys, counts=counts, members=members, levels=levels)
 
 

@@ -105,3 +105,26 @@ def test_gonzalez_generator_delegates():
     gen = bc.GonzalezGenerator(first_index=2)
     centers = gen.generate(ps, 3, "median")
     assert centers.tolist() == bc.gonzalez(ps, 3, 2).indices.tolist()
+
+
+def test_sampler_rows_equal_oracle_columns():
+    # the rows the bicriteria generator hands to the sweep are the oracle's
+    # own columns, bit for bit, and are handed out once, to the centers the
+    # generator returned
+    ps = random_points(8, 300, 5)
+    for oracle in (bc.EuclideanOracle(ps), bc.MatrixOracle(bc.distance_table(ps, np.arange(300)))):
+        for objective in ("median", "means"):
+            gen = bc.BicriteriaGenerator(seed=3)
+            centers = gen.generate(oracle, 3, objective)
+            assert gen.take_rows(centers[::-1]) is None
+            centers = gen.generate(oracle, 3, objective)
+            rows = gen.take_rows(centers)
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, oracle.columns(centers).T)
+            assert gen.take_rows(centers) is None
+    # fewer distinct points than k: sampling stops early and pads with repeats
+    duplicates = bc.PointSet(np.zeros((5, 2)))
+    gen = bc.BicriteriaGenerator(seed=0)
+    centers = gen.generate(duplicates, 3, "median")
+    assert centers.tolist() == [centers[0]] * 3
+    assert np.array_equal(gen.take_rows(centers), np.zeros((3, 5)))

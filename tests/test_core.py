@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,28 @@ def test_callback_oracle():
     table = bc.distance_table(oracle, [0, 2])
     direct = bc.distance_table(bc.PointSet(pts), [0, 2])
     assert np.allclose(table, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("objective", ["center", "median", "means"])
+def test_timings_cover_every_phase(objective):
+    ps = random_points(12, 200, 3)
+    bounds = bc.BalanceBounds(60, 75)
+    start = time.perf_counter()
+    if objective == "center":
+        res = bc.solve_kbcenter(ps, 3, bounds)
+    else:
+        res = bc.solve_balanced(ps, 3, bounds, objective=objective, seed=2)
+    wall = time.perf_counter() - start
+    timings = res.diagnostics["timings"]
+    assert list(timings) == list(bc.core.PHASES)
+    assert list(bc.core.PHASES) == ["candidates", "columns", "sweep", "winner", "rounding", "evaluation"]
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) <= wall
+
+
+def test_timings_of_an_all_coincident_solve():
+    ps = bc.PointSet(np.zeros((6, 2)))
+    bounds = bc.BalanceBounds(3, 3)
+    for res in (bc.solve_kbcenter(ps, 2, bounds), bc.solve_balanced(ps, 2, bounds, objective="median")):
+        assert set(res.diagnostics["timings"]) == set(bc.core.PHASES)
+        assert all(t >= 0.0 for t in res.diagnostics["timings"].values())

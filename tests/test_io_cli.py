@@ -187,6 +187,8 @@ def test_cli_run_deterministic_json(tmp_path, capsys):
 
     a, b = json.loads(first), json.loads(second)
     a.pop("wall_time_sec"), b.pop("wall_time_sec")
+    # wall times per phase are the only other field that may differ
+    a["diagnostics"].pop("timings"), b["diagnostics"].pop("timings")
     assert a == b
     assert a["schema"] == 1
     assert a["objective_value"] == pytest.approx(3.9, abs=1e-12)
@@ -221,6 +223,9 @@ def test_cli_diagnostics_count_swept_multisets(tmp_path, capsys, objective, k):
     assert m > 1
     assert diagnostics["tuples_evaluated"] == math.comb(m + k - 1, k)
     assert 0 <= diagnostics["tuples_pruned"] < diagnostics["tuples_evaluated"]
+    timings = diagnostics["timings"]
+    assert set(timings) == {"candidates", "columns", "sweep", "winner", "rounding", "evaluation"}
+    assert all(t >= 0.0 for t in timings.values())
 
 
 def test_cli_output_file(tmp_path):

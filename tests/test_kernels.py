@@ -141,3 +141,24 @@ def test_farthest_order_matches_reference(monkeypatch, block):
         assert idx.tolist() == want_idx
         assert np.allclose(mind, want_mind, rtol=1e-12)
         assert len(set(idx.tolist())) == k
+
+
+@pytest.mark.parametrize("rungs", sorted({1, 4, 8, 9, 40, 300, kernels.COUNT_RUNGS, kernels.COUNT_RUNGS + 1}))
+def test_level_digits_match_searchsorted(rungs):
+    # counted ladders (at most COUNT_RUNGS rungs) and searched ones must give
+    # the same digits, in the narrowest unsigned type that holds T + 1
+    rng = np.random.default_rng(rungs)
+    alphas = 0.25 * 1.1 ** np.arange(rungs)
+    x = rng.uniform(0.0, alphas[-1] * 1.2, size=(500, 3))
+    x[:rungs, 0] = alphas  # exactly on a rung: that rung, not the next
+    x[0, 1] = alphas[-1] + 1e-13 * alphas[-1]  # float dust above the top rung
+    x[1, 1] = np.nextafter(alphas[0], 0.0)  # just inside the first rung
+    x[rng.uniform(size=x.shape) < 0.05] = 0.0  # exact hits
+    x[2, 2] = 0.0
+    want = np.minimum(np.searchsorted(alphas, x, side="left"), rungs - 1) + 1
+    want[x == 0.0] = 0
+    for cols in (x, x[:, 1]):  # a table and one 1-d row
+        got = kernels.level_digits(cols, alphas)
+        assert got.dtype == (np.uint16 if rungs > 255 else np.uint8)
+        assert got.shape == cols.shape
+        assert got.tolist() == (want if cols.ndim == 2 else want[:, 1]).tolist()

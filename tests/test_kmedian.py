@@ -360,3 +360,33 @@ def test_shared_ring_bound_matches_nearest_bound():
         equal_sources += len(set(rings.col_min)) < m
     assert equal_sources > 0
     assert wide_rows > 0
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_default_solve_computes_each_candidate_column_once(objective):
+    # the sweep reads the distance rows that the bicriteria sampler built, so
+    # a solve asks the oracle for n (m + k) distances: m sampled columns
+    # plus the k columns of the final evaluation
+    n, k = 30, 2
+    points = random_points(44, n, 2).points
+    calls = [0]
+
+    def fn(i, j):
+        calls[0] += 1
+        return float(np.sqrt(((points[i] - points[j]) ** 2).sum()))
+
+    oracle = bc.CallbackOracle(fn, n)
+    bounds = bc.BalanceBounds(12, 18)
+    res = bc.solve_balanced(oracle, k, bounds, objective=objective, seed=9)
+    m = res.diagnostics["num_candidates"]
+    assert m == 8 * k
+    assert calls[0] == n * (m + k)
+
+    # the same candidates through the plain generator path, which asks the
+    # oracle for the columns again, give the same solve
+    candidates, _ = bc.bicriteria_centers(oracle, k, seed=9, objective=objective)
+    plain = bc.solve_balanced(oracle, k, bounds, objective=objective, generator=FixedGenerator(candidates))
+    assert plain.centers.tolist() == res.centers.tolist()
+    assert plain.assignment.labels.tolist() == res.assignment.labels.tolist()
+    assert plain.value == res.value
+    assert plain.diagnostics["lp_objective"] == res.diagnostics["lp_objective"]
