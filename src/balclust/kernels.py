@@ -1,5 +1,5 @@
-"""Hot numeric kernels in numpy: distance columns, coverage masks, ring codes
-and farthest-point order.
+"""Hot numeric kernels in numpy: distance columns, coverage masks, ring codes,
+ring bit planes and farthest-point order.
 
 Ring digits come in the narrowest unsigned type that holds the ladder's
 digits. A ladder of at most ``COUNT_RUNGS`` rungs is coded by counting the
@@ -97,6 +97,15 @@ def level_digits(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     digits = lev.astype(dtype)
     digits[cols == 0.0] = 0
     return digits
+
+
+def rung_planes(row: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Packed bit planes of one row, (p, ceil(n / 64)) uint64: bit i of
+    plane j is set iff row[i] > thresholds[j]; bits past n are clear."""
+    n = row.size
+    above = np.zeros((thresholds.size, -(-n // 64) * 64), dtype=bool)
+    np.greater(row, thresholds[:, None], out=above[:, :n])
+    return np.packbits(above, axis=1, bitorder="little").view(np.uint64)
 
 
 def level_codes(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ min-cost max flow, whose size is at most min(n, (T + 2)^k) regions times k.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,7 @@ class AssignmentLPResult:
     true_cost: float
     assignment: BalancedAssignment | None
     degenerate: bool = False
+    regions: int = 0  # ring regions of the flow; 0 when degenerate
 
 
 def _schedule(extremes: tuple[float, float] | None, epsilon: float) -> LevelSchedule | None:
@@ -84,7 +87,9 @@ def _lp_from_columns(
     if sol is None:
         raise StructureError("level network infeasible despite validated bounds")
     if not with_assignment:
-        return AssignmentLPResult(lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None)
+        return AssignmentLPResult(
+            lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None, regions=regions.num_regions
+        )
     if clock is not None:
         clock.lap("winner")
     sol = round_to_integral(sol, net, mode="min-cost")
@@ -99,6 +104,7 @@ def _lp_from_columns(
         lp_objective=float(sol.cost),
         true_cost=true_cost,
         assignment=assignment,
+        regions=regions.num_regions,
     )
 
 
@@ -150,19 +156,35 @@ def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool) -
     its nearest center: the ring cost of the assignment with the [L, U]
     bounds dropped.
 
-    This is sum_i ring(nearest_i) with ring = ``schedule.ring_costs(squared)``
-    indexed by the point's ring digit; ring cost is non-decreasing in
-    distance, so it equals the flow optimum without size bounds.
+    This is math.fsum of count_t * ring_t over ring digits t, where count_t
+    is the number of points whose nearest distance has digit t and ring =
+    ``schedule.ring_costs(squared)``. Ring cost is non-decreasing in
+    distance, so it equals the flow optimum without size bounds. fsum
+    rounds the exact sum once, so the value depends neither on the order of
+    the terms nor on trailing zero counts: a longer ladder from the same
+    r_min gives the same float.
 
-    The sweep computes it from shared digit rows (``_SharedRings.bound``);
-    this form stays as the reference that the shared bound must equal.
+    The sweep bounds all its tuples at once from packed bit planes
+    (``_SharedRings.bounds``); this form is the reference that the batched
+    bound must equal bit for bit.
     """
     ring = schedule.ring_costs(squared)
-    return float(ring[kernels.level_codes(nearest[:, None], schedule.alphas)].sum())
+    counts = np.bincount(kernels.level_digits(nearest, schedule.alphas), minlength=ring.size)
+    return math.fsum((counts * ring).tolist())
+
+
+#: Byte budget of one block of bit planes, and of one chunk of ANDed
+#: planes, in ``_SharedRings.bounds``. From 128 KB to 2 MB the bound pass
+#: took the same time within noise at n = 600 to 100,000 (2-vCPU Xeon,
+#: numpy 2.4); at 8 MB it was up to 1.7x slower.
+PLANE_CHUNK_BYTES = 1 << 20
+#: Tuples whose digit counts are summed per batch of ``math.fsum`` calls.
+_FSUM_ROWS = 1024
 
 
 class _SharedRings:
-    """Ring schedules and ring digits of one sweep, shared across tuples.
+    """Ring schedules and nearest-center bounds of one sweep, shared across
+    tuples.
 
     ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
     A tuple's ladder is r_min * (1 + epsilon)^t, where r_min is the smallest
@@ -174,52 +196,86 @@ class _SharedRings:
     tuple ladder from that source, and the digit of a point's nearest
     distance is the minimum of the members' digits.
 
-    Three lazy dicts hold the work: the long ladder's alphas and ring costs
-    per source, one digit row per (source, candidate) pair (n uint8 values,
-    wider once the ladder passes 255 rungs; at most m(m+1)/2 rows, since a
-    source never has a larger ``col_min`` than its members) and one
-    schedule per (r_min, r_max). ``kernels.level_digits`` codes a row by
-    counting rungs when the long ladder is short (``kernels.COUNT_RUNGS``)
-    and by binary search otherwise.
+    ``bounds`` uses this for all tuples in one pass. Per source it codes
+    each candidate row its tuples use as packed bit planes "digit > j", one
+    per rung of the long ladder (``kernels.rung_planes``); a point's
+    nearest digit exceeds j iff every member's does, so ANDing the members'
+    planes and counting bits gives the exact number of points at each
+    nearest digit. Planes are coded in blocks of rungs and ANDed in chunks
+    of tuples, each at most ``PLANE_CHUNK_BYTES``, so their memory grows
+    neither with the ladder nor with the number of tuples.
+    Schedules are built lazily, one per (r_min, r_max), and only for tuples
+    that get a flow.
     """
 
     def __init__(self, rows: np.ndarray, epsilon: float, squared: bool):
         self.rows = rows
         self.epsilon = epsilon
         self.squared = squared
-        self.col_max = rows.max(axis=1).tolist()
-        self.col_min = [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, self.col_max)]
-        self.ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.digits: dict[tuple[int, int], np.ndarray] = {}
+        self.col_max = rows.max(axis=1)
+        self.col_min = np.array(
+            [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, self.col_max)]
+        )
         self.schedules: dict[tuple[float, float], LevelSchedule] = {}
+        self.coded_rows = 0
 
     def schedule(self, tup) -> LevelSchedule | None:
         """The tuple's ring schedule; None when every distance is zero."""
-        r_max = max(self.col_max[t] for t in tup)
+        r_max = float(self.col_max[list(tup)].max())
         if r_max <= 0.0:
             return None
-        key = (min(self.col_min[t] for t in tup), r_max)
+        key = (float(self.col_min[list(tup)].min()), r_max)
         if key not in self.schedules:
             self.schedules[key] = build_level_schedule(*key, self.epsilon)
         return self.schedules[key]
 
-    def _digit_row(self, source: int, t: int) -> np.ndarray:
-        if source not in self.ladders:
-            long = build_level_schedule(self.col_min[source], max(self.col_max), self.epsilon)
-            self.ladders[source] = (long.alphas, long.ring_costs(self.squared))
-        row = self.digits.get((source, t))
-        if row is None:
-            row = self.digits[(source, t)] = kernels.level_digits(self.rows[t], self.ladders[source][0])
-        return row
+    def ladder(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """The source's long ladder, from its r_min to the largest distance,
+        as (thresholds, ring costs). Plane j of a row marks "digit > j":
+        the positive distances for j = 0, those beyond alpha_{j-1} after."""
+        ladder = build_level_schedule(float(self.col_min[source]), float(self.col_max.max()), self.epsilon)
+        return np.concatenate(([0.0], ladder.alphas[:-1])), ladder.ring_costs(self.squared)
 
-    def bound(self, tup) -> float:
-        """``nearest_bound`` of a tuple with a schedule, bit for bit:
-        sum_i ring_s[min_j digits[s, t_j]_i] for source s."""
-        source = min(tup, key=self.col_min.__getitem__)
-        nearest = self._digit_row(source, tup[0])
-        for t in tup[1:]:
-            nearest = np.minimum(nearest, self._digit_row(source, t))
-        return float(self.ladders[source][1][nearest].sum())
+    def bounds(self, tuple_list) -> np.ndarray:
+        """``nearest_bound`` of every tuple under its own schedule, bit for
+        bit; 0.0 for a tuple without one (all its distances are zero)."""
+        k = len(tuple_list[0])
+        tuples = np.fromiter(itertools.chain.from_iterable(tuple_list), np.int32, len(tuple_list) * k).reshape(-1, k)
+        sources = tuples[:, 0].copy()
+        live = self.col_max[sources] > 0.0
+        for member in tuples.T[1:]:
+            np.copyto(sources, member, where=self.col_min[member] < self.col_min[sources])
+            live |= self.col_max[member] > 0.0
+        n = self.rows.shape[1]
+        out = np.zeros(len(tuples))
+        for source in np.unique(sources[live]).tolist():
+            group = np.flatnonzero(live & (sources == source))
+            candidates, members = np.unique(tuples[group], return_inverse=True)
+            thresholds, ring = self.ladder(source)
+            above = self._above(thresholds, candidates, members.reshape(group.size, k))
+            for start in range(0, group.size, _FSUM_ROWS):
+                at = -np.diff(above[start : start + _FSUM_ROWS], axis=1, prepend=n, append=0)
+                out[group[start : start + _FSUM_ROWS]] = [math.fsum(terms) for terms in (at * ring).tolist()]
+        return out
+
+    def _above(self, thresholds: np.ndarray, candidates: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """(tuples, p) counts of the points whose nearest distance exceeds
+        ``thresholds[j]``, for tuples given as rows of positions in
+        ``candidates``: the bits of the AND of the members' planes."""
+        self.coded_rows += candidates.size
+        n = self.rows.shape[1]
+        above = np.empty((len(members), thresholds.size), dtype=np.int64)
+        rungs = max(1, PLANE_CHUNK_BYTES // (candidates.size * 8 * -(-n // 64)))
+        for j in range(0, thresholds.size, rungs):
+            planes = np.stack([kernels.rung_planes(self.rows[c], thresholds[j : j + rungs]) for c in candidates])
+            step = max(1, PLANE_CHUNK_BYTES // planes[0].nbytes)
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                both = planes[chunk[:, 0]]
+                for member in chunk.T[1:]:
+                    both &= planes[member]
+                above[start : start + step, j : j + rungs] = np.bitwise_count(both).sum(axis=2)
+        return above
 
 
 def _tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
@@ -231,38 +287,46 @@ def _evaluate_tuples(rows, tuple_list, bounds, epsilon, objective):
     """Smallest ((lp_objective, order), tuple) over ``tuple_list``, plus the
     counters ``fallbacks`` (flows whose regions were grouped by digit rows
     because their ring codes would overflow int64), ``degenerate`` and
-    ``pruned``, and ``work``: the digit rows and tuple schedules built.
+    ``pruned``, and ``work``: the candidate rows coded into bit planes, the
+    schedules built for flows, and the flows with their region counts.
 
-    Schedules, and the ring digits behind the bound, are shared across
-    tuples through ``_SharedRings``: a tuple's schedule is built once per
-    (r_min, r_max), and each point's ring digit once per (source, candidate)
-    pair rather than once per tuple. Once an incumbent exists, a tuple is
-    first bounded by the ring cost of its nearest-center assignment with the
-    size bounds dropped (``_SharedRings.bound``). When the bound exceeds the
-    incumbent by more than the ``_improves`` tolerance the tuple cannot win,
-    not even a tie, and is skipped before its columns are copied. ``rows``
-    holds the candidates' distances as C-contiguous (m, n) rows.
+    Before the sweep, ``_SharedRings.bounds`` gives every tuple the ring
+    cost of its nearest-center assignment with the size bounds dropped, in
+    one batched pass over packed bit planes. The sweep then runs in
+    generation order: once an incumbent exists, a tuple whose bound exceeds
+    it by more than the ``_improves`` tolerance cannot win, not even a tie,
+    and is skipped before its schedule is looked up or its columns copied.
+    ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
     """
     squared = objective == "means"
     rings = _SharedRings(rows, epsilon, squared)
+    lower = rings.bounds(tuple_list).tolist()
     best = None
     stats = {"fallbacks": 0, "degenerate": 0, "pruned": 0}
+    regions = []
     for order, tup in enumerate(tuple_list):
-        schedule = rings.schedule(tup)
-        if best is not None and schedule is not None:
-            bound = rings.bound(tup)
-            best_lp = best[0][0]
+        if best is not None:
+            bound, best_lp = lower[order], best[0][0]
             if bound > best_lp + _tie_tolerance(bound, best_lp):
                 stats["pruned"] += 1
                 continue
+        schedule = rings.schedule(tup)
         cols = _tuple_columns(rows, tup)
         res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=False)
         stats["fallbacks"] += int(schedule is not None and level_codes_overflow(schedule, len(tup)))
         stats["degenerate"] += int(res.degenerate)
+        if not res.degenerate:
+            regions.append(res.regions)
         key = (res.lp_objective, order)
         if best is None or _improves(key, best[0]):
             best = (key, tup)
-    stats["work"] = {"digit_rows": len(rings.digits), "schedules": len(rings.schedules)}
+    stats["work"] = {
+        "digit_rows": rings.coded_rows,
+        "schedules": len(rings.schedules),
+        "flows": len(regions),
+        "regions_mean": sum(regions) / len(regions) if regions else 0.0,
+        "regions_max": max(regions, default=0),
+    }
     return best, stats
 
 
@@ -279,17 +343,24 @@ def solve_balanced(
     return the one with the smallest flow objective, expanded to a balanced
     assignment. Ties within float dust go to the earliest tuple.
 
-    A multiset whose nearest-center lower bound already exceeds the best flow
-    objective so far by more than that float dust is skipped without a flow
-    (``_evaluate_tuples``); it could not have won, so the result is the one a
-    full sweep gives. ``diagnostics`` counts the swept multisets
-    (``tuples_evaluated``), the skipped ones (``tuples_pruned``) and the
-    swept flows whose ring regions were grouped by rows of ring digits
-    because their mixed-radix ring codes would overflow int64
-    (``fallbacks``; see ``build_level_regions``). ``diagnostics["work"]``
-    counts the work the sweep shared across multisets: ``digit_rows``, the
-    ring digit rows built (one per source and candidate pair), and
-    ``schedules``, the ring schedules built (one per distinct (r_min, r_max)).
+    Every multiset is first given a nearest-center lower bound, the ring
+    cost of sending each point to its nearest center with the size bounds
+    dropped, summed exactly with ``math.fsum`` (``nearest_bound``). All
+    bounds come from one batched pass over packed ring bit planes before
+    the sweep (``_SharedRings.bounds``). The sweep then runs in generation
+    order and skips, without a flow, a multiset whose bound exceeds the best
+    flow objective so far by more than that float dust; it could not have
+    won, so the result is the one a full sweep gives (``_evaluate_tuples``).
+
+    ``diagnostics`` counts the swept multisets (``tuples_evaluated``), the
+    skipped ones (``tuples_pruned``) and the swept flows whose ring regions
+    were grouped by rows of ring digits because their mixed-radix ring codes
+    would overflow int64 (``fallbacks``; see ``build_level_regions``).
+    ``diagnostics["work"]`` counts the sweep's work: ``digit_rows``, the
+    candidate rows coded into bit planes (one per source and candidate
+    pair); ``schedules``, the ring schedules built for flows (one per
+    distinct (r_min, r_max)); ``flows``, the flows run; and
+    ``regions_mean`` and ``regions_max``, their ring regions.
     ``diagnostics["timings"]`` holds the wall seconds of each phase
     (``core.PHASES``).
 

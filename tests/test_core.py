@@ -172,6 +172,28 @@ def test_timings_cover_every_phase(objective):
     assert sum(timings.values()) <= wall
 
 
+@pytest.mark.parametrize("objective", ["center", "median"])
+def test_timings_charge_the_sweep_to_its_phase(monkeypatch, objective):
+    # a sweep slowed by 50 ms shows up as sweep time, not as winner time
+    module, name = (bc.kcenter, "_search_tuples") if objective == "center" else (bc.kmedian, "_evaluate_tuples")
+    sweep = getattr(module, name)
+
+    def slow_sweep(*args):
+        time.sleep(0.05)
+        return sweep(*args)
+
+    monkeypatch.setattr(module, name, slow_sweep)
+    ps = random_points(13, 60, 2)
+    bounds = bc.BalanceBounds(18, 22)
+    if objective == "center":
+        res = bc.solve_kbcenter(ps, 3, bounds)
+    else:
+        res = bc.solve_balanced(ps, 3, bounds, objective=objective, seed=2)
+    timings = res.diagnostics["timings"]
+    assert timings["sweep"] >= 0.05
+    assert timings["winner"] < 0.05
+
+
 def test_timings_of_an_all_coincident_solve():
     ps = bc.PointSet(np.zeros((6, 2)))
     bounds = bc.BalanceBounds(3, 3)

@@ -162,3 +162,19 @@ def test_level_digits_match_searchsorted(rungs):
         assert got.dtype == (np.uint16 if rungs > 255 else np.uint8)
         assert got.shape == cols.shape
         assert got.tolist() == (want if cols.ndim == 2 else want[:, 1]).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_rung_planes_match_per_point_loop(n):
+    # bit i of plane j is row[i] > thresholds[j]; the padding past n is clear
+    rng = np.random.default_rng(n)
+    row = rng.uniform(0.0, 2.0, size=n)
+    row[rng.uniform(size=n) < 0.2] = 0.0
+    thresholds = np.array([0.0, 0.5, 1.0, float(row.max())])
+    planes = kernels.rung_planes(row, thresholds)
+    assert planes.dtype == np.uint64
+    assert planes.shape == (thresholds.size, math.ceil(n / 64))
+    for j, t in enumerate(thresholds.tolist()):
+        words = planes[j].tolist()
+        bits = [(words[i // 64] >> (i % 64)) & 1 for i in range(64 * len(words))]
+        assert bits == [int(i < n and row[i] > t) for i in range(64 * len(words))]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import balclust as bc
+from balclust import kernels, kmedian
 from balclust.candidates import enumerate_tuples
 from balclust.core import nearest_distances
 from balclust.flow import level_network, max_flow
@@ -15,7 +16,7 @@ from balclust.oracle import (
 )
 from balclust.regions import build_level_regions, build_level_schedule
 
-from conftest import random_bounds, random_metric_oracle, random_points
+from conftest import euclidean_matrix, random_bounds, random_metric_oracle, random_points
 
 
 def test_single_center_forced_assignment():
@@ -331,35 +332,100 @@ def _shared_bound_instances():
     yield bc.PointSet(points), np.array([0, 1, 4, 7, 11]), 0.01
 
 
+def _reference_bounds(rings, rows, tuples, epsilon, squared):
+    """nearest_bound of each tuple under its own schedule; 0.0 without one."""
+    out = []
+    for tup in tuples:
+        extremes = bc.extreme_distances(rows[list(tup)].T)
+        schedule = rings.schedule(tup)
+        if extremes is None:
+            assert schedule is None
+            out.append(0.0)
+            continue
+        reference = build_level_schedule(*extremes, epsilon)
+        assert np.array_equal(schedule.alphas, reference.alphas)
+        out.append(nearest_bound(nearest_distances(rows, tup), reference, squared))
+    return out
+
+
 def test_shared_ring_bound_matches_nearest_bound():
-    # the sweep's digit-minimum bound must equal nearest_bound of the
+    # the sweep's batched plane bound must equal nearest_bound of each
     # tuple's own schedule bit for bit, so pruning and the winner stay as
     # a per-tuple bound decides them
-    equal_sources = wide_rows = 0
+    equal_sources = long_ladders = 0
     for ps, candidates, epsilon in _shared_bound_instances():
-        table = bc.distance_table(ps, candidates)
-        rows = np.ascontiguousarray(table.T)
+        rows = np.ascontiguousarray(bc.distance_table(ps, candidates).T)
         m = candidates.size
         for objective in ("median", "means"):
             squared = objective == "means"
             rings = _SharedRings(rows, epsilon, squared)
             for k in (1, 2, 3):
-                for tup in enumerate_tuples(m, k):  # multisets repeat candidates
-                    extremes = bc.extreme_distances(table[:, tup])
-                    schedule = rings.schedule(tup)
-                    if extremes is None:
-                        assert schedule is None
-                        continue
-                    reference = build_level_schedule(*extremes, epsilon)
-                    assert np.array_equal(schedule.alphas, reference.alphas)
-                    nearest = nearest_distances(rows, tup)
-                    assert rings.bound(tup) == nearest_bound(nearest, reference, squared)
-            assert len(rings.digits) <= m * (m + 1) // 2
-            assert all(row.min() == 0 for (s, c), row in rings.digits.items() if s == c)
-            wide_rows += sum(row.dtype == np.uint16 for row in rings.digits.values())
-        equal_sources += len(set(rings.col_min)) < m
+                tuples = enumerate_tuples(m, k)  # multisets repeat candidates
+                coded = rings.coded_rows
+                assert rings.bounds(tuples).tolist() == _reference_bounds(rings, rows, tuples, epsilon, squared)
+                # a source never has a larger col_min than its members
+                assert rings.coded_rows - coded <= m * (m + 1) // 2
+            for s in range(m):
+                thresholds, _ = rings.ladder(s)
+                # plane 0 marks the positive distances; a candidate is at
+                # distance 0 from itself
+                assert np.bitwise_count(kernels.rung_planes(rows[s], thresholds[:1])).sum() < ps.n
+                long_ladders += thresholds.size > 255
+        equal_sources += len(set(rings.col_min.tolist())) < m
     assert equal_sources > 0
-    assert wide_rows > 0
+    assert long_ladders > 0
+
+
+def test_shared_ring_bound_chunk_seams(monkeypatch):
+    # blocks of rungs and chunks of tuples cut anywhere give the bounds and
+    # the solve of one unchunked pass
+    ps = random_points(830, 150, 2)
+    bounds = bc.BalanceBounds(45, 55)
+    candidates, _ = bc.bicriteria_centers(ps, 3, seed=3, objective="median")
+    rows = np.ascontiguousarray(bc.distance_table(ps, candidates).T)
+    tuples = enumerate_tuples(candidates.size, 3)
+    generator = FixedGenerator(candidates)
+    results = {}
+    for budget in (kmedian.PLANE_CHUNK_BYTES, 5000, 200, 1):
+        monkeypatch.setattr(kmedian, "PLANE_CHUNK_BYTES", budget)
+        rings = _SharedRings(rows, 0.1, False)
+        res = bc.solve_balanced(ps, 3, bounds, epsilon=0.1, objective="median", generator=generator)
+        results[budget] = (rings.bounds(tuples).tolist(), res.centers.tolist(), res.assignment.labels.tolist(),
+                           res.value, res.diagnostics["lp_objective"], res.diagnostics["tuples_pruned"])
+    # the default budget holds each source's planes whole
+    longest = max(rings.ladder(s)[0].size for s in range(candidates.size))
+    assert longest * candidates.size * 8 * -(-ps.n // 64) <= max(results)
+    unchunked = results.pop(max(results))
+    assert all(got == unchunked for got in results.values())
+
+
+def test_shared_ring_bound_mixes_tuples_without_schedule():
+    # point 2 is at distance 0 from every point (a non-metric matrix), so
+    # multisets of only that candidate have no ring schedule and bound 0.0,
+    # while the other multisets in the same batch are bounded as usual
+    mat = euclidean_matrix(np.random.default_rng(840).standard_normal((12, 2)))
+    mat[2, :] = mat[:, 2] = 0.0
+    oracle = bc.MatrixOracle(mat)
+    candidates = np.array([5, 2, 9, 0])
+    rows = np.ascontiguousarray(bc.distance_table(oracle, candidates).T)
+    for squared in (False, True):
+        rings = _SharedRings(rows, 0.5, squared)
+        for k in (1, 2, 3):
+            tuples = enumerate_tuples(candidates.size, k)
+            got = rings.bounds(tuples).tolist()
+            assert got == _reference_bounds(rings, rows, tuples, 0.5, squared)
+            assert got[tuples.index((1,) * k)] == 0.0
+            assert any(bound > 0.0 for bound in got)
+    bounds = bc.BalanceBounds(3, 5)
+    for objective in ("median", "means"):
+        res = bc.solve_balanced(oracle, 3, bounds, objective=objective, generator=FixedGenerator(candidates))
+        lp, centers, labels, value = _unpruned_reference(oracle, candidates, 3, bounds, 1.0, objective)
+        assert res.diagnostics["lp_objective"] == lp
+        assert res.centers.tolist() == centers.tolist()
+        assert res.assignment.labels.tolist() == labels.tolist()
+        assert res.value == value
+        assert res.diagnostics["degenerate_tuples"] > 0
+        assert res.diagnostics["work"]["flows"] > 0
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
