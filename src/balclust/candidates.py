@@ -118,17 +118,18 @@ def bicriteria_centers(
     return centers, cost
 
 
-def enumerate_tuples(candidates, k: int) -> list[tuple[int, ...]]:
+def enumerate_tuples(candidates, k: int) -> np.ndarray:
     """All C(|C| + k - 1, k) sorted k-multisets of candidate positions, in
-    lexicographic order (repetition inside a tuple is allowed).
+    lexicographic order (repetition inside a tuple is allowed), as the rows
+    of one C-contiguous (N, k) int32 array.
 
     Every cluster has the same size bounds, so reordering a tuple's centers
     gives an isomorphic flow network with the same optimum; one sorted tuple
     per multiset covers the whole k-fold product. The sorted form is also
     each multiset's first permutation in product order, so tie-breaking by
-    position in this list picks the winner the product would pick. Raises
-    InputError, before building any tuple, when there are more than
-    ``TUPLE_CAP`` of them.
+    row order picks the winner the product would pick. Raises InputError,
+    before building any tuple, when there are more than ``TUPLE_CAP`` of
+    them.
     """
     m = int(candidates if isinstance(candidates, (int, np.integer)) else len(candidates))
     if m < 1:
@@ -139,7 +140,8 @@ def enumerate_tuples(candidates, k: int) -> list[tuple[int, ...]]:
             f"{count} center multisets of size {k} over {m} candidates exceed the cap of "
             f"{TUPLE_CAP}; reduce k or the candidate oversampling factor"
         )
-    return list(itertools.combinations_with_replacement(range(m), k))
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(m), k))
+    return np.fromiter(flat, np.int32, count * k).reshape(count, k)
 
 
 class CandidateGenerator:

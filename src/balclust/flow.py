@@ -249,27 +249,3 @@ def validate_solution(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9) ->
 def cluster_inflows(net: FlowNetwork, flows: np.ndarray) -> np.ndarray:
     return np.bincount(net.edge_cluster, weights=flows, minlength=net.k)
 
-
-def residual_has_negative_cycle(net: FlowNetwork, sol: FlowSolution, tol: float = COST_TOL) -> bool:
-    """Bellman-Ford certificate: an optimal solution admits no residual cycle
-    of negative total cost among the region/cluster edges."""
-    nodes = net.num_regions + net.k
-    arcs = []
-    for e in range(net.num_edges):
-        r = int(net.edge_region[e])
-        j = net.num_regions + int(net.edge_cluster[e])
-        c = float(net.edge_cost[e])
-        if sol.flows[e] < net.supplies[r] - tol:  # forward residual capacity
-            arcs.append((r, j, c))
-        if sol.flows[e] > tol:
-            arcs.append((j, r, -c))
-    dist = [0.0] * nodes
-    for _ in range(nodes):
-        changed = False
-        for u, v, c in arcs:
-            if dist[u] + c < dist[v] - tol:
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            return False
-    return True

@@ -110,10 +110,10 @@ def expand_assignment(
     return BalancedAssignment.from_labels(labels, net.k, bounds)
 
 
-def _search_tuples(table, ladder, tuple_list, bounds):
-    """Smallest feasible (ladder index, order, tuple) over the tuples, plus
-    the probe count and the number of tuples skipped; ties keep the earliest
-    tuple.
+def _search_tuples(table, ladder, tuples, bounds):
+    """Smallest feasible (ladder index, order) over the rows of ``tuples``
+    (an (N, k) array of candidate positions), plus the probe count and the
+    number of tuples skipped; ties keep the earliest tuple.
 
     A probe at rung r counts the points per coverage mask under the
     threshold r * (1 + CONTAINMENT_SLACK) that ``check_feasible`` applies,
@@ -129,7 +129,8 @@ def _search_tuples(table, ladder, tuple_list, bounds):
     thresholds = ladder * (1.0 + CONTAINMENT_SLACK)
     best = None
     probes = pruned = 0
-    for order, tup in enumerate(tuple_list):
+    for order, row in enumerate(tuples):
+        tup = row.tolist()  # list indexing is cheaper than an int32 row's
         lo = int(np.searchsorted(thresholds, nearest_distances(rows, tup).max(), side="left"))
         hi = (best[0] - 1) if best is not None else len(ladder) - 1
         if lo > hi:
@@ -147,7 +148,7 @@ def _search_tuples(table, ladder, tuple_list, bounds):
             else:
                 lo = mid + 1
         if found is not None:
-            best = (found, order, tup)
+            best = (found, order)
     return best, probes, pruned
 
 
@@ -168,9 +169,10 @@ def solve_kbcenter(
     and applies Hall's condition to the counts (``hall_feasible``), so no
     probe runs a flow. Only the best tuple gets a flow network, whose
     feasible flow is expanded to point labels. Ties go to the earliest
-    tuple. ``tuples`` replaces the searched tuples (tuples of candidate
-    positions, in any order); ``centers`` overrides the candidate set with
-    explicit point indices.
+    tuple. ``tuples`` replaces the searched tuples (any iterable of
+    k-tuples of candidate positions, in any order, such as an (N, k)
+    array); ``centers`` overrides the candidate set with explicit point
+    indices.
 
     A search starts at the rung of the radius that covers every point with
     its nearest center of the tuple, and a tuple whose rung is not below the
@@ -193,7 +195,7 @@ def solve_kbcenter(
             raise InputError("centers must be a non-empty 1-d list of point indices")
     m = int(candidate_idx.size)
     if tuples is None:
-        tuple_list = enumerate_tuples(m, k)
+        tuples = enumerate_tuples(m, k)
     else:
         tuple_list = [tuple(int(p) for p in tup) for tup in tuples]
         for tup in tuple_list:
@@ -201,6 +203,7 @@ def solve_kbcenter(
                 raise InputError(f"tuple {tup} is not a valid k-tuple of candidate positions")
         if not tuple_list:
             raise InputError("empty tuple list")
+        tuples = np.array(tuple_list, dtype=np.int32)
     clock.lap("candidates")
     table = oracle.columns(candidate_idx)
     clock.lap("columns")
@@ -227,11 +230,12 @@ def solve_kbcenter(
             diagnostics=diagnostics,
         )
 
-    best, probes, pruned = _search_tuples(table, ladder, tuple_list, bounds)
+    best, probes, pruned = _search_tuples(table, ladder, tuples, bounds)
     clock.lap("sweep")
     if best is None:
         raise StructureError("no feasible radius found despite validated bounds")
-    ladder_idx, order, tup = best
+    ladder_idx, order = best
+    tup = tuples[order].tolist()
     search_radius = float(ladder[ladder_idx])
     cols = np.ascontiguousarray(table[:, tup])
     regions = build_coverage_regions(cols, search_radius)
@@ -245,15 +249,15 @@ def solve_kbcenter(
     solution = round_to_integral(solution, net, mode="feasibility")
     assignment = expand_assignment(solution, net, regions, bounds)
     clock.lap("rounding")
-    chosen = candidate_idx[list(tup)]
+    chosen = candidate_idx[tup]
     value = evaluate_objective(assignment, chosen, oracle, "center")
     clock.lap("evaluation")
     diagnostics.update(
         {
-            "tuples_evaluated": len(tuple_list),
+            "tuples_evaluated": len(tuples),
             "tuples_pruned": pruned,
             "probes": probes,
-            "best_tuple_positions": list(tup),
+            "best_tuple_positions": tup,
             "best_tuple_order": order,
             "search_radius": search_radius,
             "radius": value,

@@ -14,7 +14,6 @@ min-cost max flow, whose size is at most min(n, (T + 2)^k) regions times k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +52,6 @@ class AssignmentLPResult:
     regions: int = 0  # ring regions of the flow; 0 when degenerate
 
 
-def _schedule(extremes: tuple[float, float] | None, epsilon: float) -> LevelSchedule | None:
-    """Ring schedule of a tuple from its (r_min, r_max); None when every
-    distance is zero."""
-    return None if extremes is None else build_level_schedule(*extremes, epsilon)
-
-
 def _lp_from_columns(
     cols: np.ndarray,
     schedule: LevelSchedule | None,
@@ -68,7 +61,7 @@ def _lp_from_columns(
     clock: PhaseClock | None = None,
 ) -> AssignmentLPResult:
     """Assignment LP of the tuple behind ``cols`` under its ring ``schedule``
-    (``_schedule`` of the columns' extreme distances).
+    (built from the columns' extreme distances; None when all are zero).
 
     ``with_assignment=False`` skips member bookkeeping and expansion; the
     tuple sweep uses it to rank tuples by lp_objective alone and re-solves
@@ -129,26 +122,15 @@ def assignment_lp(
     k = len(centers)
     bounds.validate(oracle.n, k)
     cols = distance_table(oracle, centers)
-    return _lp_from_columns(cols, _schedule(extreme_distances(cols), epsilon), bounds, objective)
+    extremes = extreme_distances(cols)
+    schedule = None if extremes is None else build_level_schedule(*extremes, epsilon)
+    return _lp_from_columns(cols, schedule, bounds, objective)
 
 
-def _tie_tolerance(a: float, b: float) -> float:
-    """Float dust below which two flow objectives count as tied."""
-    return 1e-12 * max(1.0, abs(a), abs(b))
-
-
-def _improves(key, incumbent):
-    """Smaller flow objective wins; ties within float dust (1e-12 relative)
-    fall back to generation order, so tuples whose objectives differ only by
-    rounding rank by the order they were generated in."""
-    lp, order = key
-    best_lp, best_order = incumbent
-    tol = _tie_tolerance(lp, best_lp)
-    if lp < best_lp - tol:
-        return True
-    if lp > best_lp + tol:
-        return False
-    return order < best_order
+def _tie_tolerance(a, b):
+    """Float dust below which two flow objectives count as tied (1e-12
+    relative); element-wise on arrays."""
+    return 1e-12 * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
 def nearest_bound(nearest: np.ndarray, schedule: LevelSchedule, squared: bool) -> float:
@@ -221,10 +203,10 @@ class _SharedRings:
 
     def schedule(self, tup) -> LevelSchedule | None:
         """The tuple's ring schedule; None when every distance is zero."""
-        r_max = float(self.col_max[list(tup)].max())
+        r_max = float(self.col_max[tup].max())
         if r_max <= 0.0:
             return None
-        key = (float(self.col_min[list(tup)].min()), r_max)
+        key = (float(self.col_min[tup].min()), r_max)
         if key not in self.schedules:
             self.schedules[key] = build_level_schedule(*key, self.epsilon)
         return self.schedules[key]
@@ -236,11 +218,11 @@ class _SharedRings:
         ladder = build_level_schedule(float(self.col_min[source]), float(self.col_max.max()), self.epsilon)
         return np.concatenate(([0.0], ladder.alphas[:-1])), ladder.ring_costs(self.squared)
 
-    def bounds(self, tuple_list) -> np.ndarray:
-        """``nearest_bound`` of every tuple under its own schedule, bit for
-        bit; 0.0 for a tuple without one (all its distances are zero)."""
-        k = len(tuple_list[0])
-        tuples = np.fromiter(itertools.chain.from_iterable(tuple_list), np.int32, len(tuple_list) * k).reshape(-1, k)
+    def bounds(self, tuples: np.ndarray) -> np.ndarray:
+        """``nearest_bound`` of every tuple (the rows of an (N, k) array of
+        candidate positions) under its own schedule, bit for bit; 0.0 for a
+        tuple without one (all its distances are zero)."""
+        k = tuples.shape[1]
         sources = tuples[:, 0].copy()
         live = self.col_max[sources] > 0.0
         for member in tuples.T[1:]:
@@ -280,46 +262,51 @@ class _SharedRings:
 
 def _tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
     """C-contiguous (n, k) distance columns of a tuple's centers."""
-    return np.ascontiguousarray(rows[list(tup)].T)
+    return np.ascontiguousarray(rows[tup].T)
 
 
-def _evaluate_tuples(rows, tuple_list, bounds, epsilon, objective):
-    """Smallest ((lp_objective, order), tuple) over ``tuple_list``, plus the
-    counters ``fallbacks`` (flows whose regions were grouped by digit rows
-    because their ring codes would overflow int64), ``degenerate`` and
-    ``pruned``, and ``work``: the candidate rows coded into bit planes, the
-    schedules built for flows, and the flows with their region counts.
+def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
+    """The sweep's winner as (lp_objective, order, schedule): the first of
+    the rows of ``tuples`` (an (N, k) array of candidate positions) with the
+    smallest flow objective, its row index and its ring schedule. Also
+    returns the counters ``fallbacks`` (flows whose regions were grouped by
+    digit rows because their ring codes would overflow int64),
+    ``degenerate`` and ``pruned``, and ``work``: the candidate rows coded
+    into bit planes, the schedules built for flows, and the flows with
+    their region counts.
 
     Before the sweep, ``_SharedRings.bounds`` gives every tuple the ring
     cost of its nearest-center assignment with the size bounds dropped, in
     one batched pass over packed bit planes. The sweep then runs in
-    generation order: once an incumbent exists, a tuple whose bound exceeds
-    it by more than the ``_improves`` tolerance cannot win, not even a tie,
-    and is skipped before its schedule is looked up or its columns copied.
+    generation order over an array of pending row indices. A new incumbent
+    takes over only below the old one by more than ``_tie_tolerance``, and
+    each time one does, the pending tuples whose bound exceeds it by more
+    than that tolerance are dropped in one array comparison: they cannot
+    win, not even a tie, so they get neither a schedule nor a column copy.
     ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
     """
     squared = objective == "means"
     rings = _SharedRings(rows, epsilon, squared)
-    lower = rings.bounds(tuple_list).tolist()
+    lower = rings.bounds(tuples)
+    pending = np.arange(len(tuples))
     best = None
-    stats = {"fallbacks": 0, "degenerate": 0, "pruned": 0}
+    stats = {"fallbacks": 0, "degenerate": 0}
     regions = []
-    for order, tup in enumerate(tuple_list):
-        if best is not None:
-            bound, best_lp = lower[order], best[0][0]
-            if bound > best_lp + _tie_tolerance(bound, best_lp):
-                stats["pruned"] += 1
-                continue
+    while pending.size:
+        order, pending = int(pending[0]), pending[1:]
+        tup = tuples[order]
         schedule = rings.schedule(tup)
-        cols = _tuple_columns(rows, tup)
-        res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=False)
+        res = _lp_from_columns(_tuple_columns(rows, tup), schedule, bounds, objective, with_assignment=False)
         stats["fallbacks"] += int(schedule is not None and level_codes_overflow(schedule, len(tup)))
         stats["degenerate"] += int(res.degenerate)
         if not res.degenerate:
             regions.append(res.regions)
-        key = (res.lp_objective, order)
-        if best is None or _improves(key, best[0]):
-            best = (key, tup)
+        lp = res.lp_objective
+        if best is None or lp < best[0] - _tie_tolerance(lp, best[0]):
+            best = (lp, order, schedule)
+            bound = lower[pending]
+            pending = pending[bound <= lp + _tie_tolerance(bound, lp)]
+    stats["pruned"] = len(tuples) - stats["degenerate"] - len(regions)  # every swept tuple is one or the other
     stats["work"] = {
         "digit_rows": rings.coded_rows,
         "schedules": len(rings.schedules),
@@ -339,18 +326,21 @@ def solve_balanced(
     generator: CandidateGenerator | None = None,
     seed: int = 0,
 ) -> ClusteringResult:
-    """Evaluate every k-multiset of the candidates (``enumerate_tuples``) and
-    return the one with the smallest flow objective, expanded to a balanced
-    assignment. Ties within float dust go to the earliest tuple.
+    """Evaluate every k-multiset of the candidates (``enumerate_tuples``,
+    one (N, k) array from enumeration to sweep) and return the one with the
+    smallest flow objective, expanded to a balanced assignment. Ties within
+    float dust go to the earliest tuple.
 
     Every multiset is first given a nearest-center lower bound, the ring
     cost of sending each point to its nearest center with the size bounds
     dropped, summed exactly with ``math.fsum`` (``nearest_bound``). All
     bounds come from one batched pass over packed ring bit planes before
     the sweep (``_SharedRings.bounds``). The sweep then runs in generation
-    order and skips, without a flow, a multiset whose bound exceeds the best
-    flow objective so far by more than that float dust; it could not have
-    won, so the result is the one a full sweep gives (``_evaluate_tuples``).
+    order, and each new incumbent drops, in one array comparison, the
+    pending multisets whose bound exceeds its flow objective by more than
+    that float dust; they could not have won, so the result is the one a
+    full sweep gives (``_evaluate_tuples``). The winner is re-solved with
+    its assignment under the ring schedule of its sweep flow.
 
     ``diagnostics`` counts the swept multisets (``tuples_evaluated``), the
     skipped ones (``tuples_pruned``) and the swept flows whose ring regions
@@ -386,23 +376,22 @@ def solve_balanced(
     candidate_idx = np.asarray(generator.generate(oracle, k, objective), dtype=np.int64)
     if candidate_idx.size < 1:
         raise InputError("candidate generator produced no centers")
-    tuple_list = enumerate_tuples(int(candidate_idx.size), k)
+    tuples = enumerate_tuples(int(candidate_idx.size), k)
     clock.lap("candidates")
     rows = generator.take_rows(candidate_idx) if isinstance(generator, BicriteriaGenerator) else None
     if rows is None:
         rows = np.ascontiguousarray(oracle.columns(candidate_idx).T)
     clock.lap("columns")
-    best, stats = _evaluate_tuples(rows, tuple_list, bounds, epsilon, objective)
+    (lp_objective, order, schedule), stats = _evaluate_tuples(rows, tuples, bounds, epsilon, objective)
     clock.lap("sweep")
 
-    (lp_objective, order), tup = best
+    tup = tuples[order].tolist()
     cols = _tuple_columns(rows, tup)
-    schedule = _schedule(extreme_distances(cols), epsilon)
     res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=True, clock=clock)
     clock.lap("winner")  # a degenerate winner runs no flow: its split counts here
     if abs(res.lp_objective - lp_objective) > 1e-9 * max(1.0, abs(lp_objective)):
         raise StructureError("winning tuple re-solve disagrees with the sweep")
-    chosen = candidate_idx[list(tup)]
+    chosen = candidate_idx[tup]
     value = evaluate_objective(res.assignment, chosen, oracle, objective)
     clock.lap("evaluation")
     if abs(value - res.true_cost) > 1e-9 * max(1.0, abs(value)):
@@ -410,10 +399,10 @@ def solve_balanced(
     diagnostics = {
         "generator": generator.name,
         "num_candidates": int(candidate_idx.size),
-        "tuples_evaluated": len(tuple_list),
+        "tuples_evaluated": len(tuples),
         "epsilon": float(epsilon),
         "lp_objective": float(lp_objective),
-        "best_tuple_positions": list(tup),
+        "best_tuple_positions": tup,
         "best_tuple_order": order,
         "tuples_pruned": stats["pruned"],
         "fallbacks": stats["fallbacks"],

@@ -4,7 +4,8 @@ Everything here favors obviousness over speed and deliberately avoids the
 production region/flow machinery: feasibility goes through scipy's max-flow
 on a per-point bipartite graph, optimal assignments through scipy's LP
 solver on the per-point transportation program, and global optima through
-plain enumeration. Intended for desk-scale instances only.
+plain enumeration; a Bellman-Ford search certifies that a region flow has
+no negative residual cycle. Intended for desk-scale instances only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     check_objective,
     distance_table,
 )
+from .flow import COST_TOL, FlowNetwork, FlowSolution
 from .regions import CONTAINMENT_SLACK
 
 BRUTE_FORCE_MAX_N = 14
@@ -169,6 +171,31 @@ def exact_balanced_assignment(
     assignment = BalancedAssignment.from_labels(labels, k, bounds)
     cost = float(weights[np.arange(n), labels].sum())
     return cost, assignment
+
+
+def residual_has_negative_cycle(net: FlowNetwork, sol: FlowSolution, tol: float = COST_TOL) -> bool:
+    """Bellman-Ford certificate: an optimal solution admits no residual cycle
+    of negative total cost among the region/cluster edges."""
+    nodes = net.num_regions + net.k
+    arcs = []
+    for e in range(net.num_edges):
+        r = int(net.edge_region[e])
+        j = net.num_regions + int(net.edge_cluster[e])
+        c = float(net.edge_cost[e])
+        if sol.flows[e] < net.supplies[r] - tol:  # forward residual capacity
+            arcs.append((r, j, c))
+        if sol.flows[e] > tol:
+            arcs.append((j, r, -c))
+    dist = [0.0] * nodes
+    for _ in range(nodes):
+        changed = False
+        for u, v, c in arcs:
+            if dist[u] + c < dist[v] - tol:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
 def enumerate_balanced_labelings(n: int, k: int, bounds: BalanceBounds) -> np.ndarray:

@@ -39,10 +39,13 @@ def test_sampling_determinism():
 
 
 def test_enumerate_tuples_products():
-    assert bc.enumerate_tuples(2, 2) == [(0, 0), (0, 1), (1, 1)]
+    assert bc.enumerate_tuples(2, 2).tolist() == [[0, 0], [0, 1], [1, 1]]
     for m, k in ((1, 4), (3, 3), (5, 2), (4, 4)):
-        tuples = bc.enumerate_tuples(m, k)
-        assert len(tuples) == math.comb(m + k - 1, k)
+        array = bc.enumerate_tuples(m, k)
+        assert array.dtype == np.int32
+        assert array.shape == (math.comb(m + k - 1, k), k)
+        assert array.flags.c_contiguous
+        tuples = [tuple(t) for t in array.tolist()]
         assert len(set(tuples)) == len(tuples)
         assert tuples == sorted(tuples)
         assert all(list(t) == sorted(t) for t in tuples)

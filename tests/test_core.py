@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +204,13 @@ def test_timings_of_an_all_coincident_solve():
     for res in (bc.solve_kbcenter(ps, 2, bounds), bc.solve_balanced(ps, 2, bounds, objective="median")):
         assert set(res.diagnostics["timings"]) == set(bc.core.PHASES)
         assert all(t >= 0.0 for t in res.diagnostics["timings"].values())
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the reference checkers in balclust.oracle; a plain
+    # import of the package must not pay for loading it
+    code = "import sys, balclust; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True, env=env)
+    assert out.stdout.strip() == "[]"

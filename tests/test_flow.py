@@ -9,10 +9,9 @@ from balclust.flow import (
     level_network,
     max_flow,
     min_cost_max_flow,
-    residual_has_negative_cycle,
     validate_solution,
 )
-from balclust.oracle import exists_balanced_assignment
+from balclust.oracle import exists_balanced_assignment, residual_has_negative_cycle
 from balclust.regions import build_level_regions, build_level_schedule
 
 from conftest import enumerate_network_optimum

@@ -355,3 +355,37 @@ def test_hall_condition_rejects_uncovered_points():
     assert hall_feasible(counts, bounds.lower, bounds.upper)
     counts[0] = uncovered
     assert not hall_feasible(counts, bounds.lower, bounds.upper)
+
+
+def test_tuples_argument_rejects_malformed_tuples():
+    ps = random_points(360, 12, 2)
+    bounds = bc.BalanceBounds(5, 7)
+    with pytest.raises(bc.InputError, match=r"^tuple \(0, 1, 0\) is not a valid k-tuple of candidate positions$"):
+        bc.solve_kbcenter(ps, 2, bounds, tuples=[(0, 1), (0, 1, 0)])
+    with pytest.raises(bc.InputError, match=r"^tuple \(0, 2\) is not a valid k-tuple of candidate positions$"):
+        bc.solve_kbcenter(ps, 2, bounds, tuples=[(0, 2)])
+    with pytest.raises(bc.InputError, match=r"^tuple \(-1, 0\) is not a valid k-tuple of candidate positions$"):
+        bc.solve_kbcenter(ps, 2, bounds, tuples=np.array([[-1, 0]]))
+    with pytest.raises(bc.InputError, match=r"^empty tuple list$"):
+        bc.solve_kbcenter(ps, 2, bounds, tuples=[])
+
+
+def test_tuples_argument_takes_an_array_like_a_list():
+    # an (N, k) array, here not C-contiguous, searches the tuples in its
+    # row order just as the same tuples given as a list
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 370)
+        k = 3
+        n = int(rng.integers(12, 30))
+        ps = random_points(seed + 371, n, 2)
+        bounds = random_bounds(rng, n, k)
+        candidates = bc.gonzalez(ps, 5).indices
+        array = bc.enumerate_tuples(candidates.size, k)[::-1]
+        listed = [tuple(t) for t in array.tolist()]
+        a = bc.solve_kbcenter(ps, k, bounds, centers=candidates, tuples=array)
+        b = bc.solve_kbcenter(ps, k, bounds, centers=candidates, tuples=listed)
+        assert a.value == b.value
+        assert a.centers.tolist() == b.centers.tolist()
+        assert a.assignment.labels.tolist() == b.assignment.labels.tolist()
+        for key in ("tuples_evaluated", "tuples_pruned", "probes", "best_tuple_order", "best_tuple_positions"):
+            assert a.diagnostics[key] == b.diagnostics[key]

@@ -275,6 +275,57 @@ def test_pruned_sweep_matches_unpruned_reference():
     assert pruned > 0
 
 
+def _kept(bound, best):
+    """The per-tuple prune test of a generation-order scan, inverted."""
+    return not bound > best + 1e-12 * max(1.0, abs(bound), abs(best))
+
+
+def _tie_edge(best):
+    """The largest float that a tuple may be bounded at and still be kept
+    by the incumbent ``best``."""
+    edge = best * (1.0 + 1e-12)
+    while _kept(edge, best):
+        edge = float(np.nextafter(edge, np.inf))
+    while not _kept(edge, best):
+        edge = float(np.nextafter(edge, -np.inf))
+    return edge
+
+
+def test_array_prune_at_the_tie_threshold(monkeypatch):
+    # a tuple bounded at the largest float its incumbent keeps gets a flow,
+    # one bounded a float above it is pruned, under several incumbents, as a
+    # per-tuple scan in generation order decides them
+    ps = random_points(520, 24, 2)
+    bounds = bc.BalanceBounds(7, 9)
+    candidates, _ = bc.bicriteria_centers(ps, 3, seed=1, oversample=2)
+    tuples = enumerate_tuples(candidates.size, 3)
+    crafted = np.zeros(len(tuples))
+    best = None
+    flows = 0
+    incumbents = {"kept": set(), "pruned": set()}
+    for order, tup in enumerate(tuples):
+        if best is not None and order % 3:
+            edge = _tie_edge(best)
+            if order % 3 == 1:
+                crafted[order] = edge
+                incumbents["kept"].add(best)
+            else:
+                crafted[order] = np.nextafter(edge, np.inf)
+                assert not _kept(crafted[order], best)
+                incumbents["pruned"].add(best)
+                continue
+        flows += 1
+        lp = bc.assignment_lp(candidates[tup], ps, bounds, 0.5, "median").lp_objective
+        if best is None or lp < best - 1e-12 * max(1.0, abs(lp), abs(best)):
+            best = lp
+    assert len(incumbents["kept"]) >= 3 and len(incumbents["pruned"]) >= 3
+    monkeypatch.setattr(_SharedRings, "bounds", lambda self, got: crafted)
+    res = bc.solve_balanced(ps, 3, bounds, epsilon=0.5, generator=FixedGenerator(candidates))
+    assert res.diagnostics["lp_objective"] == best
+    assert res.diagnostics["work"]["flows"] == flows
+    assert res.diagnostics["tuples_pruned"] == len(tuples) - flows
+
+
 def test_nearest_bounds_are_lower_bounds():
     # the ring bound is the flow optimum without [L, U]
     for seed in range(12):
@@ -414,7 +465,7 @@ def test_shared_ring_bound_mixes_tuples_without_schedule():
             tuples = enumerate_tuples(candidates.size, k)
             got = rings.bounds(tuples).tolist()
             assert got == _reference_bounds(rings, rows, tuples, 0.5, squared)
-            assert got[tuples.index((1,) * k)] == 0.0
+            assert got[tuples.tolist().index([1] * k)] == 0.0
             assert any(bound > 0.0 for bound in got)
     bounds = bc.BalanceBounds(3, 5)
     for objective in ("median", "means"):
