@@ -33,10 +33,10 @@ from .candidates import (
     enumerate_tuples,
     gonzalez,
 )
-from .kcenter import check_feasible, expand_assignment, solve_kbcenter
+from .kcenter import check_feasible, solve_kbcenter
 from .kmedian import AssignmentLPResult, assignment_lp, solve_balanced
 from .regions import LevelSchedule, RegionTable, build_coverage_regions, build_level_regions, build_level_schedule
-from .flow import FlowNetwork, FlowSolution, max_flow, min_cost_max_flow
+from .flow import FlowNetwork, FlowSolution, expand_assignment, max_flow, min_cost_max_flow
 from .rounding import round_to_integral
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ transportation problem", SIAM J. Comput. 24(3), 1995). ``max_flow`` asks the
 feasibility question as a min-cost flow. All supplies and bounds are
 integers and every move is a whole number of units, so every returned flow
 is integral. k-center probes need no flow; they decide feasibility from
-mask counts (``kcenter.hall_feasible``).
+mask counts (``kcenter.hall_feasible``). ``expand_assignment`` turns an
+integral flow into per-point labels with one scatter over the regions'
+member permutation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, StructureError
+from .core import BalanceBounds, BalancedAssignment, InputError, StructureError
 from .regions import RegionTable, LevelSchedule
 
 COST_TOL = 1e-9
@@ -249,3 +251,30 @@ def validate_solution(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9) ->
 def cluster_inflows(net: FlowNetwork, flows: np.ndarray) -> np.ndarray:
     return np.bincount(net.edge_cluster, weights=flows, minlength=net.k)
 
+
+def expand_assignment(
+    solution: FlowSolution,
+    net: FlowNetwork,
+    regions: RegionTable,
+    bounds: BalanceBounds,
+) -> BalancedAssignment:
+    """Turn integral region flows into per-point labels.
+
+    Each region's members, in ascending index order, fill its edges in edge
+    order, every edge taking as many points as it carries (a deterministic
+    version of "pick any x points from the region"). Ordering the edges by
+    region, stably, lines their repeated clusters up with ``members``, so
+    one scatter writes every label.
+    """
+    if regions.members is None:
+        raise InputError("expansion needs a region table built with members")
+    if not solution.is_integral():
+        raise StructureError("expansion requires an integral flow")
+    flows = np.rint(solution.flows).astype(np.int64)
+    region_out = np.bincount(net.edge_region, weights=flows, minlength=regions.num_regions)
+    if np.any(flows < 0) or not np.array_equal(region_out, regions.counts):
+        raise StructureError("region flows do not cover all points exactly")
+    by_region = np.argsort(net.edge_region, kind="stable")
+    labels = np.full(regions.total, -1, dtype=np.int64)
+    labels[regions.members] = np.repeat(net.edge_cluster[by_region], flows[by_region])
+    return BalancedAssignment.from_labels(labels, net.k, bounds)

@@ -6,7 +6,7 @@ and tuple feasibility is monotone in the radius, which licenses the binary
 search over the sorted, deduplicated ladder. A probe counts the points per
 coverage mask and decides feasibility by Hall's condition on those 2^k
 counts (``hall_feasible``); no flow runs until the winner's labels are
-needed.
+needed, and ``flow.expand_assignment`` turns that one flow into labels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import kernels
 from .candidates import enumerate_tuples, gonzalez
 from .core import (
     BalanceBounds,
-    BalancedAssignment,
     ClusteringResult,
     InputError,
     PhaseClock,
@@ -27,8 +26,8 @@ from .core import (
     nearest_distances,
     round_robin_assignment,
 )
-from .flow import FlowNetwork, FlowSolution, coverage_network, max_flow
-from .regions import CONTAINMENT_SLACK, RegionTable, build_coverage_regions, coverage_region_counts
+from .flow import FlowSolution, coverage_network, expand_assignment, max_flow
+from .regions import CONTAINMENT_SLACK, build_coverage_regions, coverage_region_counts
 from .rounding import round_to_integral
 
 
@@ -71,43 +70,6 @@ def hall_feasible(counts: np.ndarray, lower: int, upper: int) -> bool:
         size[1 << j : 2 << j] = size[: 1 << j] + 1
     n = inside[-1]
     return bool(np.all(inside <= np.minimum(upper * size, n - lower * (k - size))))
-
-
-def expand_assignment(
-    solution: FlowSolution,
-    net: FlowNetwork,
-    regions: RegionTable,
-    bounds: BalanceBounds,
-) -> BalancedAssignment:
-    """Turn integral region flows into per-point labels.
-
-    Members of a region are consumed in ascending index order, filling the
-    region's clusters in ascending cluster order (a deterministic version of
-    "pick any x points from the region").
-    """
-    if regions.members is None:
-        raise InputError("expansion needs a region table built with member lists")
-    if not solution.is_integral():
-        raise StructureError("expansion requires an integral flow")
-    flows = np.rint(solution.flows).astype(np.int64)
-    n = regions.total
-    labels = np.full(n, -1, dtype=np.int64)
-    cursor = np.zeros(regions.num_regions, dtype=np.int64)
-    for e in range(net.num_edges):
-        f = int(flows[e])
-        if f == 0:
-            continue
-        r = int(net.edge_region[e])
-        j = int(net.edge_cluster[e])
-        members = regions.members[r]
-        take = members[cursor[r] : cursor[r] + f]
-        if take.size != f:
-            raise StructureError("edge flow exceeds remaining region members")
-        labels[take] = j
-        cursor[r] += f
-    if np.any(cursor != regions.counts) or np.any(labels < 0):
-        raise StructureError("region flows do not cover all points exactly")
-    return BalancedAssignment.from_labels(labels, net.k, bounds)
 
 
 def _search_tuples(table, ladder, tuples, bounds):

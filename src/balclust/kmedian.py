@@ -35,8 +35,7 @@ from .core import (
     extreme_distances,
     round_robin_assignment,
 )
-from .flow import level_network, min_cost_max_flow
-from .kcenter import expand_assignment
+from .flow import expand_assignment, level_network, min_cost_max_flow
 from .regions import LevelSchedule, build_level_regions, build_level_schedule, level_codes_overflow
 from .rounding import round_to_integral
 
@@ -230,8 +229,10 @@ class _SharedRings:
             live |= self.col_max[member] > 0.0
         n = self.rows.shape[1]
         out = np.zeros(len(tuples))
-        for source in np.unique(sources[live]).tolist():
-            group = np.flatnonzero(live & (sources == source))
+        by_source = np.flatnonzero(live)
+        by_source = by_source[np.argsort(sources[by_source], kind="stable")]
+        keys, starts = np.unique(sources[by_source], return_index=True)
+        for source, group in zip(keys.tolist(), np.split(by_source, starts[1:])):
             candidates, members = np.unique(tuples[group], return_inverse=True)
             thresholds, ring = self.ladder(source)
             above = self._above(thresholds, candidates, members.reshape(group.size, k))

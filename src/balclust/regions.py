@@ -44,19 +44,21 @@ class LevelSchedule:
 @dataclass(frozen=True)
 class RegionTable:
     """Nonempty regions: unique signature keys, per-region counts closing to n,
-    and (optionally) per-region member index lists, each sorted ascending.
+    and (optionally) their members as one permutation of the point indices.
 
-    ``kind`` is "coverage" (keys are ball bitmasks) or "level" (``levels``
-    holds the (R, k) level matrix with ZERO_LEVEL marking exact center hits;
-    keys are mixed-radix ring codes, or region ids 0..R-1 where those codes
-    would overflow int64, see ``level_codes_overflow``).
+    ``members`` lists the points of region 0, then region 1, and so on in
+    key order, each region's points ascending: region r holds the next
+    ``counts[r]`` entries. Coverage tables (keys are ball bitmasks) leave
+    ``levels`` None; level tables hold the (R, k) level matrix there, with
+    ZERO_LEVEL marking exact center hits, and their keys are mixed-radix
+    ring codes, or region ids 0..R-1 where those codes would overflow int64
+    (see ``level_codes_overflow``).
     """
 
-    kind: str
     k: int
     keys: np.ndarray
     counts: np.ndarray
-    members: tuple | None = None
+    members: np.ndarray | None = None
     levels: np.ndarray | None = None
 
     @property
@@ -68,10 +70,11 @@ class RegionTable:
         return int(self.counts.sum())
 
 
-def _group_by_code(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    order = np.argsort(codes, kind="stable")
-    keys, starts, counts = np.unique(codes[order], return_index=True, return_counts=True)
-    members = tuple(np.sort(chunk) for chunk in np.split(order, starts[1:]))
+def _group_by_code(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, counts, members): a stable sort orders the points by code and
+    keeps each code's points ascending."""
+    members = np.argsort(codes, kind="stable")
+    keys, counts = np.unique(codes[members], return_counts=True)
     return keys, counts.astype(np.int64), members
 
 
@@ -92,13 +95,13 @@ def build_coverage_regions(table: np.ndarray, r: float) -> RegionTable | None:
     if np.any(masks == 0):
         return None
     keys, counts, members = _group_by_code(masks)
-    return RegionTable(kind="coverage", k=k, keys=keys, counts=counts, members=members)
+    return RegionTable(k=k, keys=keys, counts=counts, members=members)
 
 
 def coverage_region_counts(table: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Counts-only regions for ``kcenter.check_feasible``: (keys, counts) or
     None when some point is uncovered. Equivalent to build_coverage_regions
-    up to the omitted member lists."""
+    up to the omitted members."""
     threshold = r * (1.0 + CONTAINMENT_SLACK)
     counts, uncovered = kernels.coverage_counts(table, threshold)
     if uncovered:
@@ -162,7 +165,7 @@ def build_level_regions(table: np.ndarray, schedule: LevelSchedule, with_members
         counts = counts.astype(np.int64)
         members = None
     levels = rows.astype(np.int64) - 1 if overflow else decode_level_keys(keys, k, schedule)
-    return RegionTable(kind="level", k=k, keys=keys, counts=counts, members=members, levels=levels)
+    return RegionTable(k=k, keys=keys, counts=counts, members=members, levels=levels)
 
 
 def decode_level_keys(keys: np.ndarray, k: int, schedule: LevelSchedule) -> np.ndarray:

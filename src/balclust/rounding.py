@@ -21,14 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OptimalityViolationError, StructureError
-from .flow import FlowNetwork, FlowSolution, cluster_inflows, validate_solution
+from .flow import COST_TOL, FlowNetwork, FlowSolution, cluster_inflows, validate_solution
 
 FRACTIONAL_TOL = 1e-9
-COST_TOL = 1e-9
-
-
-def _is_fractional(x: float, tol: float = FRACTIONAL_TOL) -> bool:
-    return abs(x - round(x)) > tol
 
 
 @dataclass
@@ -50,21 +45,24 @@ class FractionalResidue:
 
 
 def build_residue(net: FlowNetwork, flows: np.ndarray, tol: float = FRACTIONAL_TOL) -> FractionalResidue:
-    edges = [e for e in range(net.num_edges) if _is_fractional(float(flows[e]), tol)]
-    adjacency: dict[int, list[int]] = {}
-    for e in edges:
-        r = int(net.edge_region[e])
-        b = net.num_regions + int(net.edge_cluster[e])
-        adjacency.setdefault(r, []).append(e)
-        adjacency.setdefault(b, []).append(e)
-    residue = FractionalResidue(edges=edges, adjacency=adjacency, num_regions=net.num_regions, k=net.k)
-    for node, incident in adjacency.items():
-        if not residue.is_cluster(node) and len(incident) < 2:
-            raise StructureError(
-                "region node with a single fractional edge: outflow cannot equal "
-                "its integer supply, the input flow is corrupted"
-            )
-    return residue
+    """Residue of the edges whose flow lies more than ``tol`` from an
+    integer; each node's incident residue edges are listed ascending.
+    Non-finite flows are not fractional here; ``validate_solution`` rejects
+    them."""
+    edges = np.flatnonzero(np.abs(flows - np.round(flows)) > tol)
+    if not edges.size:  # every solver flow is integral; skip the grouping
+        return FractionalResidue(edges=[], adjacency={}, num_regions=net.num_regions, k=net.k)
+    ends = np.concatenate((net.edge_region[edges], net.num_regions + net.edge_cluster[edges]))
+    order = np.argsort(ends, kind="stable")
+    nodes, starts, degree = np.unique(ends[order], return_index=True, return_counts=True)
+    if np.any((nodes < net.num_regions) & (degree < 2)):
+        raise StructureError(
+            "region node with a single fractional edge: outflow cannot equal "
+            "its integer supply, the input flow is corrupted"
+        )
+    incident = np.split(np.tile(edges, 2)[order], starts[1:])
+    adjacency = dict(zip(nodes.tolist(), map(np.ndarray.tolist, incident)))
+    return FractionalResidue(edges=edges.tolist(), adjacency=adjacency, num_regions=net.num_regions, k=net.k)
 
 
 def _other_end(residue: FractionalResidue, net: FlowNetwork, edge: int, node: int) -> int:

@@ -7,6 +7,15 @@ import numpy as np
 import balclust as bc
 
 
+def region_members(regions):
+    """``regions.members`` split by ``counts``, one array per region. Checks
+    first that ``members`` is a permutation of the n points ordered by
+    region in key order (the keys ascend)."""
+    assert np.array_equal(np.sort(regions.members), np.arange(regions.total))
+    assert np.all(np.diff(regions.keys) > 0)
+    return np.split(regions.members, np.cumsum(regions.counts)[:-1])
+
+
 def random_points(seed, n, d, scale=1.0):
     rng = np.random.default_rng(seed)
     return bc.PointSet(rng.standard_normal((n, d)) * scale)

@@ -5,16 +5,18 @@ from scipy.optimize import linprog
 import balclust as bc
 from balclust.flow import (
     FlowNetwork,
+    FlowSolution,
     coverage_network,
+    expand_assignment,
     level_network,
     max_flow,
     min_cost_max_flow,
     validate_solution,
 )
 from balclust.oracle import exists_balanced_assignment, residual_has_negative_cycle
-from balclust.regions import build_level_regions, build_level_schedule
+from balclust.regions import RegionTable, build_coverage_regions, build_level_regions, build_level_schedule
 
-from conftest import enumerate_network_optimum
+from conftest import enumerate_network_optimum, region_members
 
 
 def make_net(supplies, k, lower, upper, edges, costs=None):
@@ -271,3 +273,86 @@ def test_min_cost_moves_along_negative_path_once_bounds_hold():
     sol = min_cost_max_flow(net)
     assert feasible and sol.cost == pytest.approx(best_cost) == 3.0
     assert not residual_has_negative_cycle(net, sol)
+
+
+def cursor_expand(flows, net, regions):
+    """Reference expansion, one edge at a time: each edge takes the next
+    members of its region, in edge order, through a per-region cursor."""
+    members = region_members(regions)
+    labels = np.full(regions.total, -1, dtype=np.int64)
+    cursor = np.zeros(regions.num_regions, dtype=np.int64)
+    for e in range(net.num_edges):
+        f = int(flows[e])
+        if f == 0:
+            continue
+        r = int(net.edge_region[e])
+        take = members[r][cursor[r] : cursor[r] + f]
+        assert take.size == f
+        labels[take] = int(net.edge_cluster[e])
+        cursor[r] += f
+    assert np.array_equal(cursor, regions.counts) and np.all(labels >= 0)
+    return labels
+
+
+def shuffle_edges(rng, net, flows):
+    """The same network and flow with the edges in a random order."""
+    p = rng.permutation(net.num_edges)
+    edges = list(zip(net.edge_region[p].tolist(), net.edge_cluster[p].tolist()))
+    return make_net(net.supplies, net.k, net.lower, net.upper, edges, net.edge_cost[p]), flows[p]
+
+
+def assert_expansion_matches_cursor(rng, net, flows, regions):
+    for shuffled in (False, True):
+        if shuffled:
+            net, flows = shuffle_edges(rng, net, flows)
+        sol = FlowSolution(flows=flows, total=float(flows.sum()), cost=float(flows @ net.edge_cost))
+        labels = expand_assignment(sol, net, regions, None).labels
+        assert labels.tolist() == cursor_expand(flows, net, regions).tolist()
+
+
+def test_expand_assignment_matches_cursor_loop_on_region_networks():
+    rng = np.random.default_rng(41)
+    expanded = 0
+    for _ in range(40):
+        n, k = int(rng.integers(3, 60)), int(rng.integers(1, 5))
+        table = rng.uniform(0, 4, size=(n, k))
+        table[rng.uniform(size=table.shape) < 0.1] = 0.0
+        lower, upper = n // (2 * k), n
+        regions = build_coverage_regions(table, float(rng.uniform(1.0, 4.0)))
+        if regions is not None:
+            net = coverage_network(regions.keys, regions.counts, k, lower, upper)
+            sol = max_flow(net)
+            if sol is not None:
+                assert_expansion_matches_cursor(rng, net, sol.flows, regions)
+                expanded += 1
+        extremes = bc.extreme_distances(table)
+        if extremes is None:
+            continue
+        schedule = build_level_schedule(*extremes, float(rng.uniform(0.1, 1.0)))
+        regions = build_level_regions(table, schedule)
+        net = level_network(regions, schedule, lower, upper)
+        assert_expansion_matches_cursor(rng, net, min_cost_max_flow(net).flows, regions)
+        expanded += 1
+    assert expanded > 50
+
+
+def random_regions(rng, supplies):
+    """A region table for a network's supplies, with each region's members
+    drawn at random from the points."""
+    point_region = rng.permutation(np.repeat(np.arange(supplies.size), supplies))
+    members = np.argsort(point_region, kind="stable")
+    return RegionTable(k=1, keys=np.arange(supplies.size), counts=supplies, members=members)
+
+
+def test_expand_assignment_matches_cursor_loop_on_shuffled_networks():
+    rng = np.random.default_rng(42)
+    expanded = 0
+    for i in range(60):
+        k = int(rng.integers(1, 6))
+        net = random_net(rng, k, int(rng.integers(1, 25)), complete=i % 2 == 0, cost_kind=("zero", "continuous")[i % 2])
+        sol = min_cost_max_flow(net)
+        if sol is None:
+            continue
+        assert_expansion_matches_cursor(rng, net, sol.flows, random_regions(rng, net.supplies))
+        expanded += 1
+    assert expanded > 20

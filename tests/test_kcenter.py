@@ -169,9 +169,10 @@ def test_expand_assignment_rejects_bad_flow():
     table = np.array([[0.1, 0.2], [0.1, 0.2], [0.1, 0.2]])
     regions = build_coverage_regions(table, 1.0)
     net = coverage_network(regions.keys, regions.counts, 2, 1, 2)
-    bad = FlowSolution(flows=np.array([2.0, 2.0]), total=4.0, cost=0.0)
-    with pytest.raises(bc.StructureError):
-        bc.expand_assignment(bad, net, regions, bc.BalanceBounds(1, 2))
+    for flows in ([2.0, 2.0], [4.0, -1.0], [1.5, 1.5], [1.0, 1.0]):  # over, negative, non-integral, under
+        bad = FlowSolution(flows=np.array(flows), total=sum(flows), cost=0.0)
+        with pytest.raises(bc.StructureError):
+            bc.expand_assignment(bad, net, regions, bc.BalanceBounds(1, 2))
 
 
 def test_expanded_points_stay_within_radius():

@@ -16,7 +16,7 @@ from balclust.oracle import (
 )
 from balclust.regions import build_level_regions, build_level_schedule
 
-from conftest import euclidean_matrix, random_bounds, random_metric_oracle, random_points
+from conftest import euclidean_matrix, random_bounds, random_metric_oracle, random_points, region_members
 
 
 def test_single_center_forced_assignment():
@@ -67,7 +67,7 @@ def test_lp_partition_round_trip():
 
     labels = np.array([0, 0, 0, 1, 1, 1, 0, 1, 1])
     point_region = np.empty(9, dtype=np.int64)
-    for ridx, members in enumerate(regions.members):
+    for ridx, members in enumerate(region_members(regions)):
         point_region[members] = ridx
     net = level_network(regions, schedule, 3, 6)
     flows = np.zeros(net.num_edges)

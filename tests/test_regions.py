@@ -13,7 +13,7 @@ from balclust.regions import (
 )
 from balclust.oracle import tight_line_fixture
 
-from conftest import random_points
+from conftest import random_points, region_members
 
 
 def test_coverage_single_point():
@@ -30,7 +30,7 @@ def test_coverage_tight_line_scan():
     regions = build_coverage_regions(table, r)
     assert regions is not None
     point_to_mask = {}
-    for key, members in zip(regions.keys, regions.members):
+    for key, members in zip(regions.keys, region_members(regions)):
         for m in members:
             point_to_mask[int(m)] = int(key)
     # p3 (index 2) has distances (1.9, 3.9, 3.9): ball 1 only
@@ -132,13 +132,13 @@ def test_partition_and_signature_soundness():
             continue
         schedule = build_level_schedule(*extremes, epsilon=0.5)
         regions = build_level_regions(table, schedule)
-        seen = np.concatenate(regions.members)
+        seen = np.concatenate(region_members(regions))
         assert sorted(seen.tolist()) == list(range(n))
         assert regions.counts.sum() == n
-        assert all(np.all(np.diff(m) > 0) for m in regions.members)
+        assert all(np.all(np.diff(m) > 0) for m in region_members(regions))
         assert regions.num_regions <= min(n, (schedule.levels + 2) ** k)
         # re-derive each member's signature from the raw distances
-        for key, members, levels in zip(regions.keys, regions.members, regions.levels):
+        for key, members, levels in zip(regions.keys, region_members(regions), regions.levels):
             for i in members:
                 for j in range(k):
                     d = table[i, j]
@@ -155,10 +155,10 @@ def test_partition_and_signature_soundness():
         cov = build_coverage_regions(table, r)
         if cov is None:
             continue
-        seen = np.concatenate(cov.members)
+        seen = np.concatenate(region_members(cov))
         assert sorted(seen.tolist()) == list(range(n))
         assert cov.num_regions <= (1 << k) - 1
-        for key, members in zip(cov.keys, cov.members):
+        for key, members in zip(cov.keys, region_members(cov)):
             for i in members:
                 mask = 0
                 for j in range(k):
@@ -174,7 +174,7 @@ def test_level_sandwich_property():
         r_min, r_max = bc.extreme_distances(table)
         schedule = build_level_schedule(r_min, r_max, eps)
         regions = build_level_regions(table, schedule)
-        for members, levels in zip(regions.members, regions.levels):
+        for members, levels in zip(region_members(regions), regions.levels):
             for i in members:
                 for j in range(3):
                     lev = int(levels[j])
@@ -210,7 +210,7 @@ def test_level_codes_overflow_boundary():
         table[0] = 1.0  # the largest code, (T + 2)^k - 1
         regions = build_level_regions(table, schedule)
         expected = (table > 0.0).astype(np.int64) - 1
-        for members, levels in zip(regions.members, regions.levels):
+        for members, levels in zip(region_members(regions), regions.levels):
             assert all(expected[i].tolist() == levels.tolist() for i in members)
 
 
@@ -224,10 +224,10 @@ def test_level_regions_when_ring_codes_overflow_int64():
     expected = np.searchsorted(schedule.alphas, table, side="left")
     expected[table == 0.0] = ZERO_LEVEL
     regions = build_level_regions(table, schedule)
-    assert sorted(np.concatenate(regions.members).tolist()) == list(range(30))
+    assert sorted(np.concatenate(region_members(regions)).tolist()) == list(range(30))
     assert regions.keys.tolist() == list(range(regions.num_regions))
     assert len({tuple(lev) for lev in regions.levels.tolist()}) == regions.num_regions
-    for members, levels in zip(regions.members, regions.levels):
+    for members, levels in zip(region_members(regions), regions.levels):
         for i in members:
             assert expected[i].tolist() == levels.tolist()
     counts_only = build_level_regions(table, schedule, with_members=False)

@@ -237,3 +237,14 @@ def test_fuzz_structures_verified_by_checker():
         rounded = round_to_integral(frac, net, mode="feasibility")
         assert rounded.is_integral()
         assert rounded.total == pytest.approx(n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan and inf arithmetic
+def test_round_rejects_non_finite_flow():
+    # a non-finite flow is not fractional, so it reaches validate_solution
+    net = make_net([2, 2], 2, 1, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for flows in ([1.0, 1.0, bad, 1.0], [1.5, 0.5, bad, 1.5]):
+            flows = np.array(flows)
+            with pytest.raises(bc.StructureError):
+                round_to_integral(FlowSolution(flows, float(flows.sum()), 0.0), net)
