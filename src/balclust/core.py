@@ -200,9 +200,15 @@ def distance_table(source, centers, squared: bool = False) -> np.ndarray:
         return oracle.columns_to(arr, squared)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise InputError("centers must be point indices or a 2-d array of vectors")
-    if np.any(arr < 0) or np.any(arr >= oracle.n):
-        raise InputError("center index out of range")
+    check_indices(arr, oracle.n)
     return oracle.columns(arr, squared)
+
+
+def check_indices(indices: np.ndarray, n: int) -> None:
+    """Raise InputError naming the first point index outside [0, n)."""
+    bad = indices[(indices < 0) | (indices >= n)]
+    if bad.size:
+        raise InputError(f"center index {int(bad[0])} out of range for {n} points")
 
 
 def extreme_distances(table: np.ndarray) -> tuple[float, float] | None:

@@ -3,17 +3,17 @@ a binary-searched feasibility probe per center tuple.
 
 The optimal radius of any tuple is one of the point-to-candidate distances,
 and tuple feasibility is monotone in the radius, which licenses the binary
-search over the sorted, deduplicated ladder. A probe counts the points per
-coverage mask and decides feasibility by Hall's condition on those 2^k
-counts (``hall_feasible``); no flow runs until the winner's labels are
-needed, and ``flow.expand_assignment`` turns that one flow into labels.
+search over the sorted, deduplicated ladder. Every probe is one
+``check_feasible`` call, which counts the points per coverage mask and
+decides feasibility by Hall's condition on those 2^k counts
+(``hall_feasible``); no flow runs until the winner's labels are needed, and
+``flow.expand_assignment`` turns that one flow into labels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .candidates import enumerate_tuples, gonzalez
 from .core import (
     BalanceBounds,
@@ -22,11 +22,12 @@ from .core import (
     PhaseClock,
     StructureError,
     as_oracle,
+    check_indices,
     evaluate_objective,
     nearest_distances,
     round_robin_assignment,
 )
-from .flow import FlowSolution, coverage_network, expand_assignment, max_flow
+from .flow import coverage_network, expand_assignment, max_flow
 from .regions import CONTAINMENT_SLACK, build_coverage_regions, coverage_region_counts
 from .rounding import round_to_integral
 
@@ -36,16 +37,18 @@ def radius_ladder(table: np.ndarray) -> np.ndarray:
     return np.unique(table)
 
 
-def check_feasible(table: np.ndarray, r: float, bounds: BalanceBounds) -> FlowSolution | None:
+def check_feasible(table: np.ndarray, r: float, bounds: BalanceBounds) -> tuple[np.ndarray, np.ndarray] | None:
     """Feasibility of radius r for the k centers behind ``table`` (their n x k
-    distance columns): coverage regions, then a zero-cost max flow. Feasible
-    iff the flow routes all n points."""
+    distance columns): the points are counted per coverage mask
+    (``coverage_region_counts``) and the 2^k counts decided by Hall's
+    condition (``hall_feasible``). Returns those (keys, counts) when r is
+    feasible, else None; no network is built and no flow runs."""
     counted = coverage_region_counts(table, r)
     if counted is None:
         return None
-    keys, counts = counted
-    net = coverage_network(keys, counts, table.shape[1], bounds.lower, bounds.upper)
-    return max_flow(net)
+    counts = np.zeros(1 << table.shape[1], dtype=np.int64)
+    counts[counted[0]] = counted[1]
+    return counted if hall_feasible(counts, bounds.lower, bounds.upper) else None
 
 
 def hall_feasible(counts: np.ndarray, lower: int, upper: int) -> bool:
@@ -77,18 +80,16 @@ def _search_tuples(table, ladder, tuples, bounds):
     (an (N, k) array of candidate positions), plus the probe count and the
     number of tuples skipped; ties keep the earliest tuple.
 
-    A probe at rung r counts the points per coverage mask under the
-    threshold r * (1 + CONTAINMENT_SLACK) that ``check_feasible`` applies,
-    rejects r when a point is uncovered and otherwise asks ``hall_feasible``;
-    it agrees with ``check_feasible`` and builds no network. Each binary
-    search runs from the rung of r_cov = max_i min_j d(i, t_j), the first
-    ladder value whose threshold covers the tuple's farthest point (every
-    lower rung leaves that point uncovered), up to one rung below the best
-    so far. A tuple whose r_cov rung is not below the best is skipped
-    without a probe or a column copy.
+    A probe at rung r is one ``check_feasible`` call at r, which applies
+    the threshold r * (1 + CONTAINMENT_SLACK). Each binary search runs from
+    the rung of r_cov = max_i min_j d(i, t_j), the first ladder value whose
+    threshold covers the tuple's farthest point (every lower rung leaves
+    that point uncovered), up to one rung below the best so far. A tuple
+    whose r_cov rung is not below the best is skipped without a probe or a
+    column copy.
     """
     rows = np.ascontiguousarray(table.T)
-    thresholds = ladder * (1.0 + CONTAINMENT_SLACK)
+    thresholds = ladder * (1.0 + CONTAINMENT_SLACK)  # the ones check_feasible applies
     best = None
     probes = pruned = 0
     for order, row in enumerate(tuples):
@@ -103,8 +104,7 @@ def _search_tuples(table, ladder, tuples, bounds):
         while lo <= hi:
             mid = (lo + hi) // 2
             probes += 1
-            counts, uncovered = kernels.coverage_counts(cols, thresholds[mid])
-            if not uncovered and hall_feasible(counts, bounds.lower, bounds.upper):
+            if check_feasible(cols, float(ladder[mid]), bounds) is not None:
                 found = mid
                 hi = mid - 1
             else:
@@ -127,14 +127,15 @@ def solve_kbcenter(
 
     Candidate centers default to the k farthest-point seeds; every k-multiset
     of the candidates (``enumerate_tuples``) is binary-searched for its
-    smallest feasible radius. Each probe counts the points per coverage mask
-    and applies Hall's condition to the counts (``hall_feasible``), so no
-    probe runs a flow. Only the best tuple gets a flow network, whose
+    smallest feasible radius. Each probe is one ``check_feasible`` call:
+    it counts the points per coverage mask and applies Hall's condition to
+    the counts (``hall_feasible``), so no probe runs a flow. Only the best
+    tuple gets a flow network, whose
     feasible flow is expanded to point labels. Ties go to the earliest
     tuple. ``tuples`` replaces the searched tuples (any iterable of
     k-tuples of candidate positions, in any order, such as an (N, k)
     array); ``centers`` overrides the candidate set with explicit point
-    indices.
+    indices, and one outside [0, n) raises ``InputError``.
 
     A search starts at the rung of the radius that covers every point with
     its nearest center of the tuple, and a tuple whose rung is not below the
@@ -155,6 +156,7 @@ def solve_kbcenter(
         candidate_idx = np.asarray(centers, dtype=np.int64)
         if candidate_idx.ndim != 1 or candidate_idx.size == 0:
             raise InputError("centers must be a non-empty 1-d list of point indices")
+        check_indices(candidate_idx, n)
     m = int(candidate_idx.size)
     if tuples is None:
         tuples = enumerate_tuples(m, k)

@@ -7,9 +7,12 @@ cost <= flow objective < (1 + epsilon) * cost for the sum objective and
 (1 + epsilon)^2 for sum-of-squares. Points at exact distance zero sit in a
 reserved free ring, which keeps zero-cost placements representable.
 
-Every tuple with a ring schedule takes the same path: ring regions
-(``build_level_regions``), their network (``level_network``) and one
-min-cost max flow, whose size is at most min(n, (T + 2)^k) regions times k.
+Every tuple with a ring schedule takes the same path (``_solve_flow``):
+ring regions (``build_level_regions``), their network (``level_network``)
+and one min-cost max flow, whose size is at most min(n, (T + 2)^k) regions
+times k. Each flow is solved once: the sweep keeps its incumbent's network
+and flow, and only the winner's flow is rounded and expanded into labels
+(``_expand_flow``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .core import (
     PhaseClock,
     StructureError,
     as_oracle,
+    check_indices,
     check_objective,
     distance_table,
     evaluate_objective,
@@ -48,56 +52,30 @@ class AssignmentLPResult:
     true_cost: float
     assignment: BalancedAssignment | None
     degenerate: bool = False
-    regions: int = 0  # ring regions of the flow; 0 when degenerate
 
 
-def _lp_from_columns(
-    cols: np.ndarray,
-    schedule: LevelSchedule | None,
-    bounds: BalanceBounds,
-    objective: str,
-    with_assignment: bool = True,
-    clock: PhaseClock | None = None,
-) -> AssignmentLPResult:
-    """Assignment LP of the tuple behind ``cols`` under its ring ``schedule``
-    (built from the columns' extreme distances; None when all are zero).
-
-    ``with_assignment=False`` skips member bookkeeping and expansion; the
-    tuple sweep uses it to rank tuples by lp_objective alone and re-solves
-    only the winner in full. A ``clock`` is charged the flow as ``winner``
-    and the rounding and expansion as ``rounding``."""
-    n, k = cols.shape
-    squared = objective == "means"
-    if schedule is None:
-        assignment = round_robin_assignment(n, k, bounds) if with_assignment else None
-        return AssignmentLPResult(
-            lp_objective=0.0, true_cost=0.0, assignment=assignment, degenerate=True
-        )
-    regions = build_level_regions(cols, schedule, with_members=with_assignment)
+def _solve_flow(cols: np.ndarray, schedule: LevelSchedule, bounds: BalanceBounds, squared: bool, with_members=True):
+    """(region table, network, flow): the ring regions of the tuple behind
+    ``cols`` under its ring ``schedule``, their level network and its
+    min-cost max flow. ``with_members=False`` skips the member permutation,
+    which only an expansion reads."""
+    regions = build_level_regions(cols, schedule, with_members=with_members)
     net = level_network(regions, schedule, bounds.lower, bounds.upper, squared=squared)
     sol = min_cost_max_flow(net)
     if sol is None:
         raise StructureError("level network infeasible despite validated bounds")
-    if not with_assignment:
-        return AssignmentLPResult(
-            lp_objective=float(sol.cost), true_cost=float("nan"), assignment=None, regions=regions.num_regions
-        )
-    if clock is not None:
-        clock.lap("winner")
+    return regions, net, sol
+
+
+def _expand_flow(cols: np.ndarray, regions, net, sol, bounds: BalanceBounds, squared: bool) -> AssignmentLPResult:
+    """Round a solved flow to an integral one, expand it into point labels
+    over the members of ``regions`` and compute the labels' true cost."""
     sol = round_to_integral(sol, net, mode="min-cost")
     assignment = expand_assignment(sol, net, regions, bounds)
-    per_point = cols[np.arange(n), assignment.labels]
+    per_point = cols[np.arange(cols.shape[0]), assignment.labels]
     if squared:
         per_point = per_point**2
-    true_cost = float(per_point.sum())
-    if clock is not None:
-        clock.lap("rounding")
-    return AssignmentLPResult(
-        lp_objective=float(sol.cost),
-        true_cost=true_cost,
-        assignment=assignment,
-        regions=regions.num_regions,
-    )
+    return AssignmentLPResult(lp_objective=float(sol.cost), true_cost=float(per_point.sum()), assignment=assignment)
 
 
 def assignment_lp(
@@ -122,8 +100,12 @@ def assignment_lp(
     bounds.validate(oracle.n, k)
     cols = distance_table(oracle, centers)
     extremes = extreme_distances(cols)
-    schedule = None if extremes is None else build_level_schedule(*extremes, epsilon)
-    return _lp_from_columns(cols, schedule, bounds, objective)
+    if extremes is None:
+        assignment = round_robin_assignment(oracle.n, k, bounds)
+        return AssignmentLPResult(lp_objective=0.0, true_cost=0.0, assignment=assignment, degenerate=True)
+    squared = objective == "means"
+    solved = _solve_flow(cols, build_level_schedule(*extremes, epsilon), bounds, squared)
+    return _expand_flow(cols, *solved, bounds, squared)
 
 
 def _tie_tolerance(a, b):
@@ -267,9 +249,11 @@ def _tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
 
 
 def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
-    """The sweep's winner as (lp_objective, order, schedule): the first of
+    """The sweep's winner as (lp_objective, order, solved): the first of
     the rows of ``tuples`` (an (N, k) array of candidate positions) with the
-    smallest flow objective, its row index and its ring schedule. Also
+    smallest flow objective, its row index, and its (schedule, region
+    table, network, flow), or None for a tuple whose distances are all
+    zero. The region table has no members; the flow is not rounded. Also
     returns the counters ``fallbacks`` (flows whose regions were grouped by
     digit rows because their ring codes would overflow int64),
     ``degenerate`` and ``pruned``, and ``work``: the candidate rows coded
@@ -297,14 +281,16 @@ def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
         order, pending = int(pending[0]), pending[1:]
         tup = tuples[order]
         schedule = rings.schedule(tup)
-        res = _lp_from_columns(_tuple_columns(rows, tup), schedule, bounds, objective, with_assignment=False)
-        stats["fallbacks"] += int(schedule is not None and level_codes_overflow(schedule, len(tup)))
-        stats["degenerate"] += int(res.degenerate)
-        if not res.degenerate:
-            regions.append(res.regions)
-        lp = res.lp_objective
+        if schedule is None:
+            lp, solved = 0.0, None
+            stats["degenerate"] += 1
+        else:
+            table, net, sol = _solve_flow(_tuple_columns(rows, tup), schedule, bounds, squared, with_members=False)
+            lp, solved = float(sol.cost), (schedule, table, net, sol)
+            stats["fallbacks"] += int(level_codes_overflow(schedule, len(tup)))
+            regions.append(table.num_regions)
         if best is None or lp < best[0] - _tie_tolerance(lp, best[0]):
-            best = (lp, order, schedule)
+            best = (lp, order, solved)
             bound = lower[pending]
             pending = pending[bound <= lp + _tie_tolerance(bound, lp)]
     stats["pruned"] = len(tuples) - stats["degenerate"] - len(regions)  # every swept tuple is one or the other
@@ -340,8 +326,11 @@ def solve_balanced(
     order, and each new incumbent drops, in one array comparison, the
     pending multisets whose bound exceeds its flow objective by more than
     that float dust; they could not have won, so the result is the one a
-    full sweep gives (``_evaluate_tuples``). The winner is re-solved with
-    its assignment under the ring schedule of its sweep flow.
+    full sweep gives (``_evaluate_tuples``). The winner's flow is not
+    solved again: its ring regions are grouped once more, now with their
+    members, under the schedule of its sweep flow, and the flow the sweep
+    kept is rounded and expanded over them. A regrouping whose keys or
+    counts differ from the sweep's raises ``StructureError``.
 
     ``diagnostics`` counts the swept multisets (``tuples_evaluated``), the
     skipped ones (``tuples_pruned``) and the swept flows whose ring regions
@@ -358,7 +347,8 @@ def solve_balanced(
     The default bicriteria generator hands over the distance rows it
     computed while sampling (``BicriteriaGenerator.take_rows``), so each
     candidate column is computed once; other generators' candidates get
-    their columns from one ``oracle.columns`` call.
+    their columns from one ``oracle.columns`` call. A candidate index
+    outside [0, n) raises ``InputError`` before any column is read.
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -377,21 +367,29 @@ def solve_balanced(
     candidate_idx = np.asarray(generator.generate(oracle, k, objective), dtype=np.int64)
     if candidate_idx.size < 1:
         raise InputError("candidate generator produced no centers")
+    check_indices(candidate_idx, n)
     tuples = enumerate_tuples(int(candidate_idx.size), k)
     clock.lap("candidates")
     rows = generator.take_rows(candidate_idx) if isinstance(generator, BicriteriaGenerator) else None
     if rows is None:
         rows = np.ascontiguousarray(oracle.columns(candidate_idx).T)
     clock.lap("columns")
-    (lp_objective, order, schedule), stats = _evaluate_tuples(rows, tuples, bounds, epsilon, objective)
+    (lp_objective, order, solved), stats = _evaluate_tuples(rows, tuples, bounds, epsilon, objective)
     clock.lap("sweep")
 
     tup = tuples[order].tolist()
     cols = _tuple_columns(rows, tup)
-    res = _lp_from_columns(cols, schedule, bounds, objective, with_assignment=True, clock=clock)
-    clock.lap("winner")  # a degenerate winner runs no flow: its split counts here
-    if abs(res.lp_objective - lp_objective) > 1e-9 * max(1.0, abs(lp_objective)):
-        raise StructureError("winning tuple re-solve disagrees with the sweep")
+    if solved is None:  # every distance is zero: any balanced split costs nothing
+        res = AssignmentLPResult(0.0, 0.0, round_robin_assignment(n, k, bounds), degenerate=True)
+        clock.lap("winner")
+    else:
+        schedule, swept, net, sol = solved
+        table = build_level_regions(cols, schedule)
+        if not (np.array_equal(table.keys, swept.keys) and np.array_equal(table.counts, swept.counts)):
+            raise StructureError("winning tuple's regions differ from those of its sweep flow")
+        clock.lap("winner")
+        res = _expand_flow(cols, table, net, sol, bounds, objective == "means")
+        clock.lap("rounding")
     chosen = candidate_idx[tup]
     value = evaluate_objective(res.assignment, chosen, oracle, objective)
     clock.lap("evaluation")

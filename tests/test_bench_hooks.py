@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import balclust as bc
+import balclust.io
 
 TRACING = Path(bc.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
 
@@ -44,3 +45,25 @@ def test_diagnostics_keys_read_by_the_bench():
     for objective in ("median", "means"):
         balanced = bc.solve_balanced(points, 3, bounds, objective=objective, seed=0).diagnostics
         assert {"tuples_evaluated", "fallbacks"} <= balanced.keys()
+
+
+def test_every_hooked_span_is_entered(tmp_path):
+    # a hook on a function the solvers no longer call reads 0 in the bench
+    # without an error; one small run of each traced path must enter them all
+    tracing = load_tracing()
+    rng = np.random.default_rng(1)
+    csv = tmp_path / "points.csv"
+    np.savetxt(csv, rng.standard_normal((60, 3)), delimiter=",")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        points = balclust.io.read_points_csv(str(csv))
+        bounds = bc.BalanceBounds(15, 25)
+        bc.solve_kbcenter(points, 3, bounds)
+        for objective in ("median", "means"):
+            bc.solve_balanced(points, 3, bounds, objective=objective, seed=0)
+        bc.solve_balanced(points, 3, bounds, generator=bc.GonzalezGenerator())
+    finally:
+        tracer.remove()
+    assert tracer.missing == set()
+    assert [span for _, _, span, _ in tracing.HOOKS if tracer.calls(span) == 0] == []

@@ -14,9 +14,9 @@ from balclust.oracle import (
     tight_line_fixture,
     two_column_fixture,
 )
-from balclust.regions import CONTAINMENT_SLACK
+from balclust.regions import CONTAINMENT_SLACK, coverage_region_counts
 
-from conftest import random_bounds, random_points
+from conftest import euclidean_matrix, random_bounds, random_points
 
 
 def test_gonzalez_tight_line_seeds():
@@ -71,6 +71,11 @@ def test_check_feasible_extremes():
     assert bc.check_feasible(table, r_max, bounds) is not None
     r_tiny = float(table[table > 0].min()) * 0.5
     assert bc.check_feasible(table, r_tiny, bounds) is None
+    # a feasible radius returns the coverage counts it decided on
+    keys, counts = bc.check_feasible(table, r_max, bounds)
+    expected_keys, expected_counts = coverage_region_counts(table, r_max)
+    assert keys.tolist() == expected_keys.tolist()
+    assert counts.tolist() == expected_counts.tolist()
 
 
 def test_check_feasible_matches_point_oracle_on_fixture():
@@ -290,8 +295,6 @@ def test_pruned_search_matches_full_ladder_scan():
 def test_covering_rung_is_the_search_floor():
     # below the rung of r_cov = max_i min_j d(i, t_j) some point is uncovered;
     # at that rung every point is covered
-    from balclust.regions import coverage_region_counts
-
     for seed in range(12):
         rng = np.random.default_rng(seed + 800)
         n = int(rng.integers(6, 25))
@@ -390,3 +393,34 @@ def test_tuples_argument_takes_an_array_like_a_list():
         assert a.assignment.labels.tolist() == b.assignment.labels.tolist()
         for key in ("tuples_evaluated", "tuples_pruned", "probes", "best_tuple_order", "best_tuple_positions"):
             assert a.diagnostics[key] == b.diagnostics[key]
+
+
+def test_every_probe_is_one_check_feasible_call(monkeypatch):
+    calls = [0]
+    check = bc.kcenter.check_feasible
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(bc.kcenter, "check_feasible", counted)
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 390)
+        n = int(rng.integers(20, 40))
+        k = int(rng.integers(2, 4))
+        ps = random_points(seed + 391, n, 2)
+        calls[0] = 0
+        res = bc.solve_kbcenter(ps, k, random_bounds(rng, n, k))
+        assert calls[0] == res.diagnostics["probes"] > 0
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_candidate_indices_out_of_range_rejected(matrix):
+    # an explicit center index outside [0, n) fails before any column is
+    # read; negative indices do not wrap to the end
+    ps = random_points(392, 12, 2)
+    source = bc.MatrixOracle(euclidean_matrix(ps.points)) if matrix else ps
+    bounds = bc.BalanceBounds(3, 6)
+    for centers, bad in (([-1, 0, 5], -1), ([12, 0], 12), ([-1, 0], -1), ([0, 3, 99], 99)):
+        with pytest.raises(bc.InputError, match=rf"^center index {bad} out of range for 12 points$"):
+            bc.solve_kbcenter(source, 2, bounds, centers=centers)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -507,3 +508,55 @@ def test_default_solve_computes_each_candidate_column_once(objective):
     assert plain.assignment.labels.tolist() == res.assignment.labels.tolist()
     assert plain.value == res.value
     assert plain.diagnostics["lp_objective"] == res.diagnostics["lp_objective"]
+
+
+def test_each_flow_is_solved_once(monkeypatch):
+    # the winner is expanded from the flow the sweep kept, so a solve runs
+    # exactly the sweep's flows; an all-coincident input runs none
+    calls = [0]
+    solve = kmedian.min_cost_max_flow
+
+    def counted(net):
+        calls[0] += 1
+        return solve(net)
+
+    monkeypatch.setattr(kmedian, "min_cost_max_flow", counted)
+    cases = [
+        (random_points(50, 40, 2), bc.BalanceBounds(10, 16), True),
+        (bc.PointSet(np.zeros((12, 2))), bc.BalanceBounds(4, 4), False),
+    ]
+    for objective in ("median", "means"):
+        for ps, bounds, flows in cases:
+            calls[0] = 0
+            res = bc.solve_balanced(ps, 3, bounds, objective=objective, seed=3)
+            assert calls[0] == res.diagnostics["work"]["flows"]
+            assert (calls[0] > 0) == flows
+
+
+@pytest.mark.parametrize("field", ["keys", "counts"])
+def test_winner_regrouping_must_match_its_sweep_flow(monkeypatch, field):
+    # the kept flow is expanded over the winner's regions grouped again with
+    # members; a grouping whose keys or counts differ must not be expanded
+    group = kmedian.build_level_regions
+
+    def regroup(cols, schedule, with_members=True):
+        table = group(cols, schedule, with_members=with_members)
+        if not with_members:
+            return table
+        return dataclasses.replace(table, **{field: getattr(table, field) + 1})
+
+    monkeypatch.setattr(kmedian, "build_level_regions", regroup)
+    with pytest.raises(bc.StructureError, match="^winning tuple's regions differ from those of its sweep flow$"):
+        bc.solve_balanced(random_points(52, 30, 2), 2, bc.BalanceBounds(12, 18), seed=1)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_candidate_indices_out_of_range_rejected(matrix):
+    # a candidate index outside [0, n) fails before any column is read;
+    # negative indices do not wrap to the end
+    ps = random_points(51, 12, 2)
+    source = bc.MatrixOracle(euclidean_matrix(ps.points)) if matrix else ps
+    bounds = bc.BalanceBounds(3, 6)
+    for indices, bad in (([-2, 3, 7, 9], -2), ([40, 3], 40), ([3, 12], 12)):
+        with pytest.raises(bc.InputError, match=rf"^center index {bad} out of range for 12 points$"):
+            bc.solve_balanced(source, 2, bounds, generator=FixedGenerator(indices))
