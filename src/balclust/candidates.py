@@ -1,10 +1,11 @@
 """Candidate-center generation behind a pluggable interface, and the
 enumeration of the center tuples the solvers sweep.
 
-Two generators ship: the farthest-point seed set (k-center) and a
-distance-proportional oversampling scheme producing O(k) centers for the
-median/means pipelines. Any object with the same ``generate`` signature can
-be plugged into the solvers, e.g. a stronger sampling-based candidate set.
+Two generators ship: the farthest-point seed set (k-center), one traversal
+over oracle columns for every oracle kind, and a distance-proportional
+oversampling scheme producing O(k) centers for the median/means pipelines.
+Any object with the same ``generate`` signature can be plugged into the
+solvers, e.g. a stronger sampling-based candidate set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import EuclideanOracle, InputError, as_oracle
+from .core import InputError, as_oracle
 
 #: Most center tuples one solve may sweep.
 TUPLE_CAP = 1 << 20
@@ -38,6 +39,9 @@ def gonzalez(source, k: int, first_index: int | None = 0, seed: int | None = Non
     """Farthest-point traversal; O(nk) distance reads.
 
     The start is ``first_index``, or a seeded random point when it is None.
+    Every oracle kind takes the same traversal
+    (``kernels.farthest_point_order``), reading one ``oracle.columns``
+    column per pick.
     """
     oracle = as_oracle(source)
     n = oracle.n
@@ -47,19 +51,7 @@ def gonzalez(source, k: int, first_index: int | None = 0, seed: int | None = Non
         first_index = int(np.random.default_rng(seed).integers(n))
     if not 0 <= first_index < n:
         raise InputError(f"first_index {first_index} out of range for n={n}")
-    if isinstance(oracle, EuclideanOracle):
-        idx, mind = kernels.farthest_point_order(oracle.point_set.points, k, first_index)
-    else:
-        idx = np.empty(k, np.int64)
-        mind = np.full(n, np.inf)
-        selected = np.zeros(n, dtype=bool)
-        cur = int(first_index)
-        for step in range(k):
-            idx[step] = cur
-            selected[cur] = True
-            np.minimum(mind, oracle.columns([cur])[:, 0], out=mind)
-            if step + 1 < k:
-                cur = int(np.argmax(np.where(selected, -1.0, mind)))
+    idx, mind = kernels.farthest_point_order(lambda c: oracle.columns([c])[:, 0], n, k, first_index)
     idx.setflags(write=False)
     return SeedSequence(indices=idx, first_index=int(first_index), next_min_distance=float(mind.max()))
 

@@ -205,7 +205,10 @@ def distance_table(source, centers, squared: bool = False) -> np.ndarray:
 
 
 def check_indices(indices: np.ndarray, n: int) -> None:
-    """Raise InputError naming the first point index outside [0, n)."""
+    """Raise InputError on a non-integer dtype, or naming the first point
+    index outside [0, n)."""
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise InputError(f"center indices must be integers, got dtype {indices.dtype}")
     bad = indices[(indices < 0) | (indices >= n)]
     if bad.size:
         raise InputError(f"center index {int(bad[0])} out of range for {n} points")
@@ -235,6 +238,12 @@ def nearest_distances(rows: np.ndarray, tup) -> np.ndarray:
     for t in tup[1:]:
         np.minimum(nearest, rows[t], out=nearest)
     return nearest
+
+
+def tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
+    """C-contiguous (n, k) distance columns of the centers of ``tup``, where
+    ``rows`` is the candidate table transposed to C-contiguous (m, n) rows."""
+    return np.ascontiguousarray(rows[tup].T)
 
 
 @dataclass(frozen=True)

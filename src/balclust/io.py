@@ -5,7 +5,7 @@ or that reads as empty or holds a non-finite value, is read again by the
 strict parser, so a file gives the strict parser's array or its error. The
 exceptions are files the strict parser's csv reader cannot read although
 their data rows are plain numbers: a header with an unclosed quote, or a
-field over the csv module's 131,072-character limit. Those now load.
+field over the csv module's 131,072-character limit. The C parser loads those.
 Every parse failure is an :class:`InputError` that names the offending row,
 and the column where a cell is at fault; bytes the text encoding cannot
 decode make their cell fail as not a number. Both are 1-based; rows are

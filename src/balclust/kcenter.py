@@ -1,7 +1,10 @@
 """Balanced k-center: farthest-point seeding, a candidate radius ladder, and
 a binary-searched feasibility probe per center tuple.
 
-The optimal radius of any tuple is one of the point-to-candidate distances,
+Every input takes one path from seeds to labels. The candidates' distances
+are read once, as C-contiguous (m, n) rows, and every probe and the winner
+slice their tuple's columns from those rows (``core.tuple_columns``). The
+optimal radius of any tuple is one of the point-to-candidate distances,
 and tuple feasibility is monotone in the radius, which licenses the binary
 search over the sorted, deduplicated ladder. Every probe is one
 ``check_feasible`` call, which counts the points per coverage mask and
@@ -25,16 +28,11 @@ from .core import (
     check_indices,
     evaluate_objective,
     nearest_distances,
-    round_robin_assignment,
+    tuple_columns,
 )
 from .flow import coverage_network, expand_assignment, max_flow
 from .regions import CONTAINMENT_SLACK, build_coverage_regions, coverage_region_counts
 from .rounding import round_to_integral
-
-
-def radius_ladder(table: np.ndarray) -> np.ndarray:
-    """Sorted, deduplicated candidate radii (all point-to-candidate distances)."""
-    return np.unique(table)
 
 
 def check_feasible(table: np.ndarray, r: float, bounds: BalanceBounds) -> tuple[np.ndarray, np.ndarray] | None:
@@ -75,10 +73,12 @@ def hall_feasible(counts: np.ndarray, lower: int, upper: int) -> bool:
     return bool(np.all(inside <= np.minimum(upper * size, n - lower * (k - size))))
 
 
-def _search_tuples(table, ladder, tuples, bounds):
+def _search_tuples(rows, ladder, tuples, bounds):
     """Smallest feasible (ladder index, order) over the rows of ``tuples``
     (an (N, k) array of candidate positions), plus the probe count and the
-    number of tuples skipped; ties keep the earliest tuple.
+    number of tuples skipped; ties keep the earliest tuple. ``rows`` holds
+    the candidates' distances as C-contiguous (m, n) rows, and ``ladder``
+    their sorted, deduplicated values.
 
     A probe at rung r is one ``check_feasible`` call at r, which applies
     the threshold r * (1 + CONTAINMENT_SLACK). Each binary search runs from
@@ -86,9 +86,9 @@ def _search_tuples(table, ladder, tuples, bounds):
     threshold covers the tuple's farthest point (every lower rung leaves
     that point uncovered), up to one rung below the best so far. A tuple
     whose r_cov rung is not below the best is skipped without a probe or a
-    column copy.
+    column copy. When every distance is zero the ladder is [0]: the first
+    tuple's one probe succeeds at rung 0 and every later tuple is skipped.
     """
-    rows = np.ascontiguousarray(table.T)
     thresholds = ladder * (1.0 + CONTAINMENT_SLACK)  # the ones check_feasible applies
     best = None
     probes = pruned = 0
@@ -99,7 +99,7 @@ def _search_tuples(table, ladder, tuples, bounds):
         if lo > hi:
             pruned += 1
             continue
-        cols = np.ascontiguousarray(table[:, tup])
+        cols = tuple_columns(rows, tup)
         found = None
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -133,9 +133,15 @@ def solve_kbcenter(
     tuple gets a flow network, whose
     feasible flow is expanded to point labels. Ties go to the earliest
     tuple. ``tuples`` replaces the searched tuples (any iterable of
-    k-tuples of candidate positions, in any order, such as an (N, k)
-    array); ``centers`` overrides the candidate set with explicit point
-    indices, and one outside [0, n) raises ``InputError``.
+    k-tuples of integer candidate positions, in any order, such as an
+    (N, k) array); ``centers`` overrides the candidate set with explicit
+    point indices. A position or index that is not an integer, or lies out
+    of range, raises ``InputError``.
+
+    Every input takes this one path, coincident points included: when every
+    candidate distance is zero, one probe at radius 0 finds the first
+    multiset feasible, every later one is skipped, and the labels come from
+    its flow like any other winner's.
 
     A search starts at the rung of the radius that covers every point with
     its nearest center of the tuple, and a tuple whose rung is not below the
@@ -150,58 +156,36 @@ def solve_kbcenter(
     bounds.validate(n, k)
     clock = PhaseClock()
     if centers is None:
-        seeds = gonzalez(oracle, k, first_index, seed=seed)
-        candidate_idx = seeds.indices
+        candidate_idx = gonzalez(oracle, k, first_index, seed=seed).indices
     else:
-        candidate_idx = np.asarray(centers, dtype=np.int64)
+        candidate_idx = np.asarray(centers)
         if candidate_idx.ndim != 1 or candidate_idx.size == 0:
             raise InputError("centers must be a non-empty 1-d list of point indices")
         check_indices(candidate_idx, n)
+        candidate_idx = candidate_idx.astype(np.int64, copy=False)
     m = int(candidate_idx.size)
     if tuples is None:
         tuples = enumerate_tuples(m, k)
     else:
-        tuple_list = [tuple(int(p) for p in tup) for tup in tuples]
+        tuple_list = [np.asarray(tup) for tup in tuples]
         for tup in tuple_list:
-            if len(tup) != k or any(not 0 <= p < m for p in tup):
-                raise InputError(f"tuple {tup} is not a valid k-tuple of candidate positions")
+            if tup.shape != (k,) or not np.issubdtype(tup.dtype, np.integer) or np.any((tup < 0) | (tup >= m)):
+                raise InputError(f"tuple {tuple(tup.tolist())} is not a valid k-tuple of candidate positions")
         if not tuple_list:
             raise InputError("empty tuple list")
         tuples = np.array(tuple_list, dtype=np.int32)
     clock.lap("candidates")
-    table = oracle.columns(candidate_idx)
+    rows = np.ascontiguousarray(oracle.columns(candidate_idx).T)
     clock.lap("columns")
-    ladder = radius_ladder(table)
-    diagnostics: dict = {
-        "candidates": candidate_idx.tolist(),
-        "ladder_size": int(ladder.size),
-        "timings": clock.timings,
-    }
-
-    if ladder[-1] <= 0.0:
-        # All candidate distances are zero: any balanced split costs zero.
-        assignment = round_robin_assignment(n, k, bounds)
-        clock.lap("rounding")
-        chosen = candidate_idx[np.zeros(k, dtype=np.int64)]
-        diagnostics.update({"degenerate": True, "tuples_evaluated": 0, "tuples_pruned": 0, "probes": 0})
-        return ClusteringResult(
-            objective="center",
-            k=k,
-            bounds=bounds,
-            centers=chosen,
-            assignment=assignment,
-            value=0.0,
-            diagnostics=diagnostics,
-        )
-
-    best, probes, pruned = _search_tuples(table, ladder, tuples, bounds)
+    ladder = np.unique(rows)
+    best, probes, pruned = _search_tuples(rows, ladder, tuples, bounds)
     clock.lap("sweep")
     if best is None:
         raise StructureError("no feasible radius found despite validated bounds")
     ladder_idx, order = best
     tup = tuples[order].tolist()
     search_radius = float(ladder[ladder_idx])
-    cols = np.ascontiguousarray(table[:, tup])
+    cols = tuple_columns(rows, tup)
     regions = build_coverage_regions(cols, search_radius)
     if regions is None:
         raise StructureError("winning radius failed region construction")
@@ -216,17 +200,18 @@ def solve_kbcenter(
     chosen = candidate_idx[tup]
     value = evaluate_objective(assignment, chosen, oracle, "center")
     clock.lap("evaluation")
-    diagnostics.update(
-        {
-            "tuples_evaluated": len(tuples),
-            "tuples_pruned": pruned,
-            "probes": probes,
-            "best_tuple_positions": tup,
-            "best_tuple_order": order,
-            "search_radius": search_radius,
-            "radius": value,
-        }
-    )
+    diagnostics = {
+        "candidates": candidate_idx.tolist(),
+        "ladder_size": int(ladder.size),
+        "timings": clock.timings,
+        "tuples_evaluated": len(tuples),
+        "tuples_pruned": pruned,
+        "probes": probes,
+        "best_tuple_positions": tup,
+        "best_tuple_order": order,
+        "search_radius": search_radius,
+        "radius": value,
+    }
     return ClusteringResult(
         objective="center",
         k=k,

@@ -1,5 +1,8 @@
 """Hot numeric kernels in numpy: distance columns, coverage masks, ring codes,
-ring bit planes and farthest-point order.
+ring bit planes and the farthest-point traversal.
+
+The traversal reads its distances through a column callback, so every
+oracle kind shares it; Euclidean columns come from ``euclidean_columns``.
 
 Ring digits come in the narrowest unsigned type that holds the ladder's
 digits. A ladder of at most ``COUNT_RUNGS`` rungs is coded by counting the
@@ -118,9 +121,12 @@ def level_codes(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 # ------------------------------------------------- farthest-point traversal
 
 
-def farthest_point_order(points: np.ndarray, k: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy max-min traversal; returns chosen indices and final min-distances."""
-    n = points.shape[0]
+def farthest_point_order(column, n: int, k: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-min traversal of n points from ``first``, where
+    ``column(i)`` returns the (n,) distances from point i. Each pick after
+    the first maximizes the minimum distance to the picks before it (ties to
+    the lowest index). Returns the k picks and every point's final
+    min-distance to them; the traversal itself computes no distance."""
     idx = np.empty(k, np.int64)
     mind = np.full(n, np.inf)
     selected = np.zeros(n, dtype=bool)
@@ -128,12 +134,7 @@ def farthest_point_order(points: np.ndarray, k: int, first: int) -> tuple[np.nda
     for step in range(k):
         idx[step] = cur
         selected[cur] = True
-        center = points[cur]
-        for start in range(0, n, _BLOCK):
-            block = points[start : start + _BLOCK]
-            diff = block - center
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            np.minimum(mind[start : start + _BLOCK], d, out=mind[start : start + _BLOCK])
+        np.minimum(mind, column(cur), out=mind)
         if step + 1 < k:
             cur = int(np.argmax(np.where(selected, -1.0, mind)))
     return idx, mind

@@ -38,6 +38,7 @@ from .core import (
     evaluate_objective,
     extreme_distances,
     round_robin_assignment,
+    tuple_columns,
 )
 from .flow import expand_assignment, level_network, min_cost_max_flow
 from .regions import LevelSchedule, build_level_regions, build_level_schedule, level_codes_overflow
@@ -243,11 +244,6 @@ class _SharedRings:
         return above
 
 
-def _tuple_columns(rows: np.ndarray, tup) -> np.ndarray:
-    """C-contiguous (n, k) distance columns of a tuple's centers."""
-    return np.ascontiguousarray(rows[tup].T)
-
-
 def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
     """The sweep's winner as (lp_objective, order, solved): the first of
     the rows of ``tuples`` (an (N, k) array of candidate positions) with the
@@ -285,7 +281,7 @@ def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
             lp, solved = 0.0, None
             stats["degenerate"] += 1
         else:
-            table, net, sol = _solve_flow(_tuple_columns(rows, tup), schedule, bounds, squared, with_members=False)
+            table, net, sol = _solve_flow(tuple_columns(rows, tup), schedule, bounds, squared, with_members=False)
             lp, solved = float(sol.cost), (schedule, table, net, sol)
             stats["fallbacks"] += int(level_codes_overflow(schedule, len(tup)))
             regions.append(table.num_regions)
@@ -347,8 +343,9 @@ def solve_balanced(
     The default bicriteria generator hands over the distance rows it
     computed while sampling (``BicriteriaGenerator.take_rows``), so each
     candidate column is computed once; other generators' candidates get
-    their columns from one ``oracle.columns`` call. A candidate index
-    outside [0, n) raises ``InputError`` before any column is read.
+    their columns from one ``oracle.columns`` call. A candidate index that
+    is not an integer or lies outside [0, n) raises ``InputError`` before
+    any column is read.
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -364,10 +361,11 @@ def solve_balanced(
     if generator is None:
         generator = BicriteriaGenerator(seed=seed)
     clock = PhaseClock()
-    candidate_idx = np.asarray(generator.generate(oracle, k, objective), dtype=np.int64)
+    candidate_idx = np.asarray(generator.generate(oracle, k, objective))
     if candidate_idx.size < 1:
         raise InputError("candidate generator produced no centers")
     check_indices(candidate_idx, n)
+    candidate_idx = candidate_idx.astype(np.int64, copy=False)
     tuples = enumerate_tuples(int(candidate_idx.size), k)
     clock.lap("candidates")
     rows = generator.take_rows(candidate_idx) if isinstance(generator, BicriteriaGenerator) else None
@@ -378,7 +376,7 @@ def solve_balanced(
     clock.lap("sweep")
 
     tup = tuples[order].tolist()
-    cols = _tuple_columns(rows, tup)
+    cols = tuple_columns(rows, tup)
     if solved is None:  # every distance is zero: any balanced split costs nothing
         res = AssignmentLPResult(0.0, 0.0, round_robin_assignment(n, k, bounds), degenerate=True)
         clock.lap("winner")

@@ -63,7 +63,11 @@ def test_every_hooked_span_is_entered(tmp_path):
         for objective in ("median", "means"):
             bc.solve_balanced(points, 3, bounds, objective=objective, seed=0)
         bc.solve_balanced(points, 3, bounds, generator=bc.GonzalezGenerator())
+        bc.solve_kbcenter(bc.MatrixOracle(bc.distance_table(points, np.arange(60))), 3, bounds)
     finally:
         tracer.remove()
     assert tracer.missing == set()
     assert [span for _, _, span, _ in tracing.HOOKS if tracer.calls(span) == 0] == []
+    # three gonzalez calls (two k-center solves and the GonzalezGenerator one)
+    # each take the one farthest-point traversal, matrix input included
+    assert tracer.calls("kernels.farthest_point_order") == 3

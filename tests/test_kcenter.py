@@ -7,7 +7,7 @@ import pytest
 import balclust as bc
 from balclust import kernels
 from balclust.flow import coverage_network, max_flow
-from balclust.kcenter import hall_feasible, radius_ladder
+from balclust.kcenter import hall_feasible
 from balclust.oracle import (
     brute_force_optimum,
     exists_balanced_assignment,
@@ -36,6 +36,22 @@ def test_gonzalez_exhausts_all_points():
     seeds = bc.gonzalez(ps, 5, first_index=3)
     assert sorted(seeds.indices.tolist()) == [0, 1, 2, 3, 4]
     assert seeds.indices[0] == 3
+
+
+def test_gonzalez_same_on_every_oracle():
+    # one traversal over oracle columns: a matrix of the Euclidean oracle's
+    # own columns, and a callback over that matrix, give the same seeds and
+    # min-distances bit for bit
+    pts = random_points(3, 40, 3).points.copy()
+    pts[7] = pts[30]  # coincident pair exercises the tie-break
+    euclidean = bc.EuclideanOracle(pts)
+    matrix = euclidean.columns(np.arange(40))
+    oracles = (euclidean, bc.MatrixOracle(matrix), bc.CallbackOracle(lambda i, j: matrix[i, j], 40))
+    for k, first in ((5, 0), (12, 30), (40, 7)):
+        seeds = [bc.gonzalez(oracle, k, first) for oracle in oracles]
+        for other in seeds[1:]:
+            assert other.indices.tolist() == seeds[0].indices.tolist()
+            assert other.next_min_distance == seeds[0].next_min_distance
 
 
 def test_gonzalez_seeded_random_start():
@@ -142,7 +158,7 @@ def test_binary_search_matches_linear_scan():
         bounds = random_bounds(rng, n, k)
         seeds = bc.gonzalez(ps, k)
         table = bc.distance_table(ps, seeds.indices)
-        ladder = radius_ladder(table)
+        ladder = np.unique(table)
         for tup in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             cols = np.ascontiguousarray(table[:, tup])
             verdicts = [bc.check_feasible(cols, float(r), bounds) is not None for r in ladder if r > 0]
@@ -194,10 +210,25 @@ def test_expanded_points_stay_within_radius():
 
 
 def test_degenerate_coincident_input():
+    # every candidate distance is zero: the general search probes rung 0 once,
+    # skips every later multiset and takes the labels from the winner's flow
     ps = bc.PointSet(np.zeros((6, 2)))
     res = bc.solve_kbcenter(ps, 2, bc.BalanceBounds(3, 3))
     assert res.value == 0.0
-    assert res.assignment.sizes.tolist() == [3, 3]
+    assert res.centers.tolist() == [0, 0]
+    assert res.assignment.labels.tolist() == [0, 0, 0, 1, 1, 1]
+    diag = res.diagnostics
+    assert (diag["tuples_evaluated"], diag["tuples_pruned"], diag["probes"]) == (3, 2, 1)
+    assert diag["search_radius"] == diag["radius"] == 0.0
+    # a non-metric matrix whose candidates' rows are all zero takes the same path
+    matrix = np.ones((6, 6))
+    matrix[[1, 4]] = matrix[:, [1, 4]] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    res = bc.solve_kbcenter(bc.MatrixOracle(matrix), 2, bc.BalanceBounds(2, 4), centers=[1, 4])
+    assert res.value == 0.0
+    assert res.centers.tolist() == [1, 1]
+    assert res.assignment.labels.tolist() == [0, 0, 0, 0, 1, 1]
+    assert res.diagnostics["probes"] == 1
 
 
 def test_planted_groups_solve_to_zero_radius():
@@ -274,7 +305,7 @@ def test_pruned_search_matches_full_ladder_scan():
         res = bc.solve_kbcenter(ps, k, bounds, centers=centers)
         candidates = np.asarray(res.diagnostics["candidates"])
         table = bc.distance_table(ps, candidates)
-        ladder = radius_ladder(table)
+        ladder = np.unique(table)
         best = None
         for tup in bc.enumerate_tuples(len(candidates), k):
             rung = _first_feasible_rung(np.ascontiguousarray(table[:, tup]), ladder, bounds)
@@ -302,7 +333,7 @@ def test_covering_rung_is_the_search_floor():
         ps = random_points(seed + 801, n, 2)
         bounds = random_bounds(rng, n, k)
         table = bc.distance_table(ps, rng.choice(n, size=4, replace=False))
-        ladder = radius_ladder(table)
+        ladder = np.unique(table)
         for _ in range(4):
             cols = np.ascontiguousarray(table[:, rng.integers(0, 4, size=k)])
             lo = int(np.searchsorted(ladder * (1 + CONTAINMENT_SLACK), cols.min(axis=1).max(), side="left"))
@@ -370,6 +401,8 @@ def test_tuples_argument_rejects_malformed_tuples():
         bc.solve_kbcenter(ps, 2, bounds, tuples=[(0, 2)])
     with pytest.raises(bc.InputError, match=r"^tuple \(-1, 0\) is not a valid k-tuple of candidate positions$"):
         bc.solve_kbcenter(ps, 2, bounds, tuples=np.array([[-1, 0]]))
+    with pytest.raises(bc.InputError, match=r"^tuple \(0\.9, 1\.2\) is not a valid k-tuple of candidate positions$"):
+        bc.solve_kbcenter(ps, 2, bounds, tuples=[(0.9, 1.2)])
     with pytest.raises(bc.InputError, match=r"^empty tuple list$"):
         bc.solve_kbcenter(ps, 2, bounds, tuples=[])
 
@@ -424,3 +457,10 @@ def test_candidate_indices_out_of_range_rejected(matrix):
     for centers, bad in (([-1, 0, 5], -1), ([12, 0], 12), ([-1, 0], -1), ([0, 3, 99], 99)):
         with pytest.raises(bc.InputError, match=rf"^center index {bad} out of range for 12 points$"):
             bc.solve_kbcenter(source, 2, bounds, centers=centers)
+
+
+def test_non_integer_centers_rejected():
+    # float indices fail instead of being truncated to points
+    ps = random_points(393, 12, 2)
+    with pytest.raises(bc.InputError, match="^center indices must be integers, got dtype float64$"):
+        bc.solve_kbcenter(ps, 2, bc.BalanceBounds(3, 6), centers=[0.9, 5.7])

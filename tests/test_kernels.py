@@ -131,12 +131,18 @@ def test_levels_clamped_to_schedule_top():
 
 @pytest.mark.parametrize("block", [kernels._BLOCK, 8])
 def test_farthest_order_matches_reference(monkeypatch, block):
+    # the traversal reads Euclidean columns, so the block size reaches it
+    # through euclidean_columns
     monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((30, 4))
     pts[5] = pts[2]  # coincident pair exercises the tie-break
+
+    def column(c):
+        return kernels.euclidean_columns(pts, pts[[c]])[:, 0]
+
     for k, first in ((6, 2), (30, 0)):
-        idx, mind = kernels.farthest_point_order(pts, k, first)
+        idx, mind = kernels.farthest_point_order(column, 30, k, first)
         want_idx, want_mind = reference_farthest(pts, k, first)
         assert idx.tolist() == want_idx
         assert np.allclose(mind, want_mind, rtol=1e-12)

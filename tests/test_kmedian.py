@@ -217,7 +217,7 @@ class FixedGenerator(bc.CandidateGenerator):
     name = "fixed"
 
     def __init__(self, indices):
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indices = np.asarray(indices)
 
     def generate(self, source, k, objective):
         return self.indices
@@ -560,3 +560,10 @@ def test_candidate_indices_out_of_range_rejected(matrix):
     for indices, bad in (([-2, 3, 7, 9], -2), ([40, 3], 40), ([3, 12], 12)):
         with pytest.raises(bc.InputError, match=rf"^center index {bad} out of range for 12 points$"):
             bc.solve_balanced(source, 2, bounds, generator=FixedGenerator(indices))
+
+
+def test_non_integer_candidate_indices_rejected():
+    # a generator's float indices fail instead of being truncated to points
+    ps = random_points(53, 12, 2)
+    with pytest.raises(bc.InputError, match="^center indices must be integers, got dtype float64$"):
+        bc.solve_balanced(ps, 2, bc.BalanceBounds(3, 6), generator=FixedGenerator([0.5, 3.7, 7.2]))
