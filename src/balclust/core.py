@@ -274,13 +274,6 @@ class BalancedAssignment:
         return int(self.sizes.size)
 
 
-def round_robin_assignment(n: int, k: int, bounds: BalanceBounds) -> BalancedAssignment:
-    """Any balanced split; used for degenerate all-coincident inputs."""
-    bounds.validate(n, k)
-    labels = np.arange(n, dtype=np.int64) % k
-    return BalancedAssignment.from_labels(labels, k, bounds)
-
-
 def evaluate_objective(
     assignment: BalancedAssignment,
     centers,

@@ -7,7 +7,7 @@ cost <= flow objective < (1 + epsilon) * cost for the sum objective and
 (1 + epsilon)^2 for sum-of-squares. Points at exact distance zero sit in a
 reserved free ring, which keeps zero-cost placements representable.
 
-Every tuple with a ring schedule takes the same path (``_solve_flow``):
+Every tuple takes the same path (``_solve_flow``):
 ring regions (``build_level_regions``), their network (``level_network``)
 and one min-cost max flow, whose size is at most min(n, (T + 2)^k) regions
 times k. Each flow is solved once: the sweep keeps its incumbent's network
@@ -37,7 +37,6 @@ from .core import (
     distance_table,
     evaluate_objective,
     extreme_distances,
-    round_robin_assignment,
     tuple_columns,
 )
 from .flow import expand_assignment, level_network, min_cost_max_flow
@@ -51,8 +50,7 @@ class AssignmentLPResult:
 
     lp_objective: float
     true_cost: float
-    assignment: BalancedAssignment | None
-    degenerate: bool = False
+    assignment: BalancedAssignment
 
 
 def _solve_flow(cols: np.ndarray, schedule: LevelSchedule, bounds: BalanceBounds, squared: bool, with_members=True):
@@ -100,10 +98,8 @@ def assignment_lp(
     k = len(centers)
     bounds.validate(oracle.n, k)
     cols = distance_table(oracle, centers)
-    extremes = extreme_distances(cols)
-    if extremes is None:
-        assignment = round_robin_assignment(oracle.n, k, bounds)
-        return AssignmentLPResult(lp_objective=0.0, true_cost=0.0, assignment=assignment, degenerate=True)
+    # all distances zero: one rung, so every point has digit 0 and costs 0
+    extremes = extreme_distances(cols) or (1.0, 1.0)
     squared = objective == "means"
     solved = _solve_flow(cols, build_level_schedule(*extremes, epsilon), bounds, squared)
     return _expand_flow(cols, *solved, bounds, squared)
@@ -151,14 +147,19 @@ class _SharedRings:
     tuples.
 
     ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
-    A tuple's ladder is r_min * (1 + epsilon)^t, where r_min is the smallest
-    positive distance of its *source*: the member with the smallest
-    ``col_min`` (ties to the lowest position). Every ladder from one source
-    is a prefix of the source's long ladder, which runs up to the largest
-    distance of any candidate, and ring digits are monotone in distance. So
-    a candidate's digits under the long ladder are its digits under every
-    tuple ladder from that source, and the digit of a point's nearest
-    distance is the minimum of the members' digits.
+    A tuple's ladder is r_min * (1 + epsilon)^t, where r_min is the
+    ``col_min`` of its *source*: the member with the smallest ``col_min``
+    (ties to the lowest position). A row's ``col_min`` is its smallest
+    positive distance, or ``top`` for a row of zeros, where ``top`` is the
+    largest distance of any candidate (1.0 if that is zero too). A tuple of
+    zero rows thus gets the one rung [top], on which every distance has
+    digit 0 and costs 0; a zero row can tie only a member whose
+    ``col_min`` is already ``top``, so it never changes another tuple's
+    ladder. Every ladder from one source is a prefix of the source's long
+    ladder, which runs up to ``top``, and ring digits are monotone in
+    distance. So a candidate's digits under the long ladder are its digits
+    under every tuple ladder from that source, and the digit of a point's
+    nearest distance is the minimum of the members' digits.
 
     ``bounds`` uses this for all tuples in one pass. Per source it codes
     each candidate row its tuples use as packed bit planes "digit > j", one
@@ -177,43 +178,38 @@ class _SharedRings:
         self.epsilon = epsilon
         self.squared = squared
         self.col_max = rows.max(axis=1)
+        self.top = float(self.col_max.max()) or 1.0
         self.col_min = np.array(
-            [float(row[row > 0].min()) if max_d > 0.0 else np.inf for row, max_d in zip(rows, self.col_max)]
+            [float(row[row > 0].min()) if max_d > 0.0 else self.top for row, max_d in zip(rows, self.col_max)]
         )
         self.schedules: dict[tuple[float, float], LevelSchedule] = {}
         self.coded_rows = 0
 
-    def schedule(self, tup) -> LevelSchedule | None:
-        """The tuple's ring schedule; None when every distance is zero."""
-        r_max = float(self.col_max[tup].max())
-        if r_max <= 0.0:
-            return None
-        key = (float(self.col_min[tup].min()), r_max)
+    def schedule(self, tup) -> LevelSchedule:
+        """The tuple's ring schedule, from its r_min to its largest distance."""
+        r_min = float(self.col_min[tup].min())
+        key = (r_min, max(r_min, float(self.col_max[tup].max())))
         if key not in self.schedules:
             self.schedules[key] = build_level_schedule(*key, self.epsilon)
         return self.schedules[key]
 
     def ladder(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """The source's long ladder, from its r_min to the largest distance,
-        as (thresholds, ring costs). Plane j of a row marks "digit > j":
+        """The source's long ladder, from its r_min to ``top``, as
+        (thresholds, ring costs). Plane j of a row marks "digit > j":
         the positive distances for j = 0, those beyond alpha_{j-1} after."""
-        ladder = build_level_schedule(float(self.col_min[source]), float(self.col_max.max()), self.epsilon)
+        ladder = build_level_schedule(float(self.col_min[source]), self.top, self.epsilon)
         return np.concatenate(([0.0], ladder.alphas[:-1])), ladder.ring_costs(self.squared)
 
     def bounds(self, tuples: np.ndarray) -> np.ndarray:
         """``nearest_bound`` of every tuple (the rows of an (N, k) array of
-        candidate positions) under its own schedule, bit for bit; 0.0 for a
-        tuple without one (all its distances are zero)."""
+        candidate positions) under its own schedule, bit for bit."""
         k = tuples.shape[1]
         sources = tuples[:, 0].copy()
-        live = self.col_max[sources] > 0.0
         for member in tuples.T[1:]:
             np.copyto(sources, member, where=self.col_min[member] < self.col_min[sources])
-            live |= self.col_max[member] > 0.0
         n = self.rows.shape[1]
-        out = np.zeros(len(tuples))
-        by_source = np.flatnonzero(live)
-        by_source = by_source[np.argsort(sources[by_source], kind="stable")]
+        out = np.empty(len(tuples))
+        by_source = np.argsort(sources, kind="stable")
         keys, starts = np.unique(sources[by_source], return_index=True)
         for source, group in zip(keys.tolist(), np.split(by_source, starts[1:])):
             candidates, members = np.unique(tuples[group], return_inverse=True)
@@ -248,13 +244,12 @@ def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
     """The sweep's winner as (lp_objective, order, solved): the first of
     the rows of ``tuples`` (an (N, k) array of candidate positions) with the
     smallest flow objective, its row index, and its (schedule, region
-    table, network, flow), or None for a tuple whose distances are all
-    zero. The region table has no members; the flow is not rounded. Also
-    returns the counters ``fallbacks`` (flows whose regions were grouped by
-    digit rows because their ring codes would overflow int64),
-    ``degenerate`` and ``pruned``, and ``work``: the candidate rows coded
-    into bit planes, the schedules built for flows, and the flows with
-    their region counts.
+    table, network, flow). The region table has no members; the flow is not
+    rounded. Also returns the counters ``fallbacks`` (flows whose regions
+    were grouped by digit rows because their ring codes would overflow
+    int64) and ``pruned``, and ``work``: the candidate rows coded into bit
+    planes, the schedules built for flows, and the flows with their region
+    counts.
 
     Before the sweep, ``_SharedRings.bounds`` gives every tuple the ring
     cost of its nearest-center assignment with the size bounds dropped, in
@@ -264,6 +259,8 @@ def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
     each time one does, the pending tuples whose bound exceeds it by more
     than that tolerance are dropped in one array comparison: they cannot
     win, not even a tie, so they get neither a schedule nor a column copy.
+    Flow objectives are never negative, so an incumbent at 0.0 ends the
+    sweep: no later tuple can undercut it.
     ``rows`` holds the candidates' distances as C-contiguous (m, n) rows.
     """
     squared = objective == "means"
@@ -271,25 +268,23 @@ def _evaluate_tuples(rows, tuples, bounds, epsilon, objective):
     lower = rings.bounds(tuples)
     pending = np.arange(len(tuples))
     best = None
-    stats = {"fallbacks": 0, "degenerate": 0}
+    stats = {"fallbacks": 0}
     regions = []
     while pending.size:
         order, pending = int(pending[0]), pending[1:]
         tup = tuples[order]
         schedule = rings.schedule(tup)
-        if schedule is None:
-            lp, solved = 0.0, None
-            stats["degenerate"] += 1
-        else:
-            table, net, sol = _solve_flow(tuple_columns(rows, tup), schedule, bounds, squared, with_members=False)
-            lp, solved = float(sol.cost), (schedule, table, net, sol)
-            stats["fallbacks"] += int(level_codes_overflow(schedule, len(tup)))
-            regions.append(table.num_regions)
+        table, net, sol = _solve_flow(tuple_columns(rows, tup), schedule, bounds, squared, with_members=False)
+        lp = float(sol.cost)
+        stats["fallbacks"] += int(level_codes_overflow(schedule, len(tup)))
+        regions.append(table.num_regions)
         if best is None or lp < best[0] - _tie_tolerance(lp, best[0]):
-            best = (lp, order, solved)
+            best = (lp, order, (schedule, table, net, sol))
+            if lp == 0.0:
+                break
             bound = lower[pending]
             pending = pending[bound <= lp + _tie_tolerance(bound, lp)]
-    stats["pruned"] = len(tuples) - stats["degenerate"] - len(regions)  # every swept tuple is one or the other
+    stats["pruned"] = len(tuples) - len(regions)  # every tuple without a flow was skipped
     stats["work"] = {
         "digit_rows": rings.coded_rows,
         "schedules": len(rings.schedules),
@@ -326,7 +321,14 @@ def solve_balanced(
     solved again: its ring regions are grouped once more, now with their
     members, under the schedule of its sweep flow, and the flow the sweep
     kept is rounded and expanded over them. A regrouping whose keys or
-    counts differ from the sweep's raises ``StructureError``.
+    counts differ from the sweep's raises ``StructureError``. Flow
+    objectives are never negative, so a multiset whose flow costs 0.0 ends
+    the sweep.
+
+    Every multiset takes this one path, coincident points included: a
+    multiset whose distances are all zero gets a one-rung schedule, on
+    which every point has ring digit 0, so its bound and its flow cost 0.0
+    and the labels come from that flow like any other winner's.
 
     ``diagnostics`` counts the swept multisets (``tuples_evaluated``), the
     skipped ones (``tuples_pruned``) and the swept flows whose ring regions
@@ -345,7 +347,8 @@ def solve_balanced(
     candidate column is computed once; other generators' candidates get
     their columns from one ``oracle.columns`` call. A candidate index that
     is not an integer or lies outside [0, n) raises ``InputError`` before
-    any column is read.
+    any column is read, and so does a generator output that is not a
+    non-empty 1-d array.
 
     epsilon trades ring resolution for work; 1.0 already preserves the
     constant-factor guarantee of the candidate set.
@@ -362,8 +365,8 @@ def solve_balanced(
         generator = BicriteriaGenerator(seed=seed)
     clock = PhaseClock()
     candidate_idx = np.asarray(generator.generate(oracle, k, objective))
-    if candidate_idx.size < 1:
-        raise InputError("candidate generator produced no centers")
+    if candidate_idx.ndim != 1 or candidate_idx.size == 0:
+        raise InputError("candidate generator must return a non-empty 1-d array of point indices")
     check_indices(candidate_idx, n)
     candidate_idx = candidate_idx.astype(np.int64, copy=False)
     tuples = enumerate_tuples(int(candidate_idx.size), k)
@@ -377,17 +380,13 @@ def solve_balanced(
 
     tup = tuples[order].tolist()
     cols = tuple_columns(rows, tup)
-    if solved is None:  # every distance is zero: any balanced split costs nothing
-        res = AssignmentLPResult(0.0, 0.0, round_robin_assignment(n, k, bounds), degenerate=True)
-        clock.lap("winner")
-    else:
-        schedule, swept, net, sol = solved
-        table = build_level_regions(cols, schedule)
-        if not (np.array_equal(table.keys, swept.keys) and np.array_equal(table.counts, swept.counts)):
-            raise StructureError("winning tuple's regions differ from those of its sweep flow")
-        clock.lap("winner")
-        res = _expand_flow(cols, table, net, sol, bounds, objective == "means")
-        clock.lap("rounding")
+    schedule, swept, net, sol = solved
+    table = build_level_regions(cols, schedule)
+    if not (np.array_equal(table.keys, swept.keys) and np.array_equal(table.counts, swept.counts)):
+        raise StructureError("winning tuple's regions differ from those of its sweep flow")
+    clock.lap("winner")
+    res = _expand_flow(cols, table, net, sol, bounds, objective == "means")
+    clock.lap("rounding")
     chosen = candidate_idx[tup]
     value = evaluate_objective(res.assignment, chosen, oracle, objective)
     clock.lap("evaluation")
@@ -403,7 +402,6 @@ def solve_balanced(
         "best_tuple_order": order,
         "tuples_pruned": stats["pruned"],
         "fallbacks": stats["fallbacks"],
-        "degenerate_tuples": stats["degenerate"],
         "work": stats["work"],
         "timings": clock.timings,
     }

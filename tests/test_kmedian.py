@@ -177,12 +177,15 @@ def test_overflowing_ring_codes_solve_on_digit_rows():
         _assert_sandwich(res.diagnostics["lp_objective"], res.value, w, 1e-3, objective)
 
 
-def test_degenerate_tuple_round_robin():
+def test_coincident_points_take_the_flow():
+    # every distance is zero: a one-rung schedule puts every point at ring
+    # digit 0, and the labels come from the flow like any other tuple's
     pts = np.zeros((6, 2))
-    res = bc.assignment_lp([0, 1], bc.PointSet(pts), bc.BalanceBounds(3, 3), 1.0, "median")
-    assert res.degenerate
-    assert res.true_cost == 0.0
-    assert res.assignment.sizes.tolist() == [3, 3]
+    bounds = bc.BalanceBounds(3, 3)
+    res = bc.assignment_lp([0, 1], bc.PointSet(pts), bounds, 1.0, "median")
+    assert res.lp_objective == res.true_cost == 0.0
+    assert np.all((bounds.lower <= res.assignment.sizes) & (res.assignment.sizes <= bounds.upper))
+    assert not hasattr(res, "degenerate")
 
 
 def test_permuted_tuples_share_lp_objective():
@@ -385,15 +388,14 @@ def _shared_bound_instances():
 
 
 def _reference_bounds(rings, rows, tuples, epsilon, squared):
-    """nearest_bound of each tuple under its own schedule; 0.0 without one."""
+    """nearest_bound of each tuple under its own schedule; a tuple whose
+    distances are all zero gets the one rung at the largest candidate
+    distance (1.0 if that is zero too)."""
+    top = float(rows.max()) or 1.0
     out = []
     for tup in tuples:
-        extremes = bc.extreme_distances(rows[list(tup)].T)
+        extremes = bc.extreme_distances(rows[list(tup)].T) or (top, top)
         schedule = rings.schedule(tup)
-        if extremes is None:
-            assert schedule is None
-            out.append(0.0)
-            continue
         reference = build_level_schedule(*extremes, epsilon)
         assert np.array_equal(schedule.alphas, reference.alphas)
         out.append(nearest_bound(nearest_distances(rows, tup), reference, squared))
@@ -453,8 +455,8 @@ def test_shared_ring_bound_chunk_seams(monkeypatch):
 
 def test_shared_ring_bound_mixes_tuples_without_schedule():
     # point 2 is at distance 0 from every point (a non-metric matrix), so
-    # multisets of only that candidate have no ring schedule and bound 0.0,
-    # while the other multisets in the same batch are bounded as usual
+    # multisets of only that candidate get a one-rung schedule and bound
+    # 0.0, while the other multisets in the same batch are bounded as usual
     mat = euclidean_matrix(np.random.default_rng(840).standard_normal((12, 2)))
     mat[2, :] = mat[:, 2] = 0.0
     oracle = bc.MatrixOracle(mat)
@@ -476,8 +478,35 @@ def test_shared_ring_bound_mixes_tuples_without_schedule():
         assert res.centers.tolist() == centers.tolist()
         assert res.assignment.labels.tolist() == labels.tolist()
         assert res.value == value
-        assert res.diagnostics["degenerate_tuples"] > 0
         assert res.diagnostics["work"]["flows"] > 0
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_degenerate_coincident_input(objective):
+    # every candidate distance is zero: the first multiset's one-rung flow
+    # costs 0.0, which ends the sweep, and the labels come from that flow
+    ps = bc.PointSet(np.zeros((12, 2)))
+    res = bc.solve_balanced(ps, 3, bc.BalanceBounds(2, 6), objective=objective, seed=3)
+    assert res.value == 0.0
+    assert res.assignment.labels.tolist() == [0] * 6 + [1] * 4 + [2] * 2
+    diag = res.diagnostics
+    assert diag["work"]["flows"] == 1
+    assert diag["tuples_pruned"] == diag["tuples_evaluated"] - 1
+    # a non-metric matrix whose candidates' rows are partly all zero gives
+    # what a flow on every multiset gives; with L = 4 only the multisets of
+    # zero rows cost 0.0, so one wins after flows of mixed multisets
+    mat = euclidean_matrix(np.random.default_rng(850).standard_normal((12, 2)))
+    mat[[1, 4]] = mat[:, [1, 4]] = 0.0
+    oracle = bc.MatrixOracle(mat)
+    candidates = np.array([6, 9, 1, 0, 4])
+    bounds = bc.BalanceBounds(4, 6)
+    for k in (2, 3):
+        res = bc.solve_balanced(oracle, k, bounds, objective=objective, generator=FixedGenerator(candidates))
+        lp, centers, labels, value = _unpruned_reference(oracle, candidates, k, bounds, 1.0, objective)
+        assert res.diagnostics["lp_objective"] == lp == 0.0
+        assert res.centers.tolist() == centers.tolist()
+        assert res.assignment.labels.tolist() == labels.tolist()
+        assert res.value == value
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
@@ -512,7 +541,7 @@ def test_default_solve_computes_each_candidate_column_once(objective):
 
 def test_each_flow_is_solved_once(monkeypatch):
     # the winner is expanded from the flow the sweep kept, so a solve runs
-    # exactly the sweep's flows; an all-coincident input runs none
+    # exactly the sweep's flows; an all-coincident input runs one
     calls = [0]
     solve = kmedian.min_cost_max_flow
 
@@ -522,15 +551,15 @@ def test_each_flow_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(kmedian, "min_cost_max_flow", counted)
     cases = [
-        (random_points(50, 40, 2), bc.BalanceBounds(10, 16), True),
-        (bc.PointSet(np.zeros((12, 2))), bc.BalanceBounds(4, 4), False),
+        (random_points(50, 40, 2), bc.BalanceBounds(10, 16), lambda flows: flows > 0),
+        (bc.PointSet(np.zeros((12, 2))), bc.BalanceBounds(4, 4), lambda flows: flows == 1),
     ]
     for objective in ("median", "means"):
-        for ps, bounds, flows in cases:
+        for ps, bounds, expected in cases:
             calls[0] = 0
             res = bc.solve_balanced(ps, 3, bounds, objective=objective, seed=3)
             assert calls[0] == res.diagnostics["work"]["flows"]
-            assert (calls[0] > 0) == flows
+            assert expected(calls[0])
 
 
 @pytest.mark.parametrize("field", ["keys", "counts"])
@@ -567,3 +596,11 @@ def test_non_integer_candidate_indices_rejected():
     ps = random_points(53, 12, 2)
     with pytest.raises(bc.InputError, match="^center indices must be integers, got dtype float64$"):
         bc.solve_balanced(ps, 2, bc.BalanceBounds(3, 6), generator=FixedGenerator([0.5, 3.7, 7.2]))
+
+
+@pytest.mark.parametrize("indices", [[[0, 5, 9]], [[0, 5], [9, 11]]])
+def test_candidate_indices_not_1d_rejected(indices):
+    # a generator output of another shape fails before any column is read
+    ps = random_points(54, 30, 2)
+    with pytest.raises(bc.InputError, match="^candidate generator must return a non-empty 1-d array of point indices$"):
+        bc.solve_balanced(ps, 3, bc.BalanceBounds(8, 12), generator=FixedGenerator(indices))
